@@ -121,7 +121,7 @@ void usage() {
       "  --probe-rows N   autotune probe sample size (default 65536)\n"
       "  --kernel NAME    rz_dot kernel selection: \"auto\" (default,\n"
       "                   per-domain best), a registry name (scalar, avx2,\n"
-      "                   avx512, avx512fp16) pinning every domain, or a\n"
+      "                   avx512) pinning every domain, or a\n"
       "                   comma list assigning per execution domain; every\n"
       "                   selection is bit-identical (FASTED_RZ_KERNEL\n"
       "                   still force-pins over this flag)\n"

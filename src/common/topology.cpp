@@ -137,12 +137,6 @@ CpuFeatures probe_cpu_features() {
   f.avx2 = __builtin_cpu_supports("avx2");
   f.fma = __builtin_cpu_supports("fma");
   f.avx512f = __builtin_cpu_supports("avx512f");
-  f.avx512vl = __builtin_cpu_supports("avx512vl");
-#if (defined(__clang_major__) && __clang_major__ >= 14) || \
-    (!defined(__clang__) && defined(__GNUC__) && __GNUC__ >= 12)
-  // The "avx512fp16" probe string itself needs a recent compiler.
-  f.avx512fp16 = __builtin_cpu_supports("avx512fp16");
-#endif
 #endif
   return f;
 }

@@ -55,22 +55,18 @@ struct CpuFeatures {
   bool avx2 = false;
   bool fma = false;
   bool avx512f = false;
-  bool avx512vl = false;
-  bool avx512fp16 = false;
 
   CpuFeatures intersect(const CpuFeatures& o) const {
     CpuFeatures out;
     out.avx2 = avx2 && o.avx2;
     out.fma = fma && o.fma;
     out.avx512f = avx512f && o.avx512f;
-    out.avx512vl = avx512vl && o.avx512vl;
-    out.avx512fp16 = avx512fp16 && o.avx512fp16;
     return out;
   }
 
   static CpuFeatures all() {
     CpuFeatures f;
-    f.avx2 = f.fma = f.avx512f = f.avx512vl = f.avx512fp16 = true;
+    f.avx2 = f.fma = f.avx512f = true;
     return f;
   }
 };

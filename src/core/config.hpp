@@ -54,8 +54,8 @@ struct FastedConfig {
   StealMode steal_mode = StealMode::kEnv;
   // rz_dot kernel selection (core/kernels/kernel_context.hpp): "auto"
   // resolves each execution domain to the widest variant its own pinned
-  // workers support; a name ("scalar", "avx2", "avx512", "avx512fp16")
-  // pins every domain; a comma list assigns entry d to domain d modulo the
+  // workers support; a name ("scalar", "avx2", "avx512") pins every
+  // domain; a comma list assigns entry d to domain d modulo the
   // list length (heterogeneous per-domain assignments).  FASTED_RZ_KERNEL
   // force-pins globally over any selection.  Execution policy only — every
   // variant is bit-identical.

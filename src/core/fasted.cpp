@@ -1,6 +1,7 @@
 #include "core/fasted.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <optional>
 #include <utility>
 
@@ -55,13 +56,16 @@ void query_row_join(const float* query, float query_norm,
     const std::size_t width = std::min(kernels::kPanelWidth, end - j0);
     kernels::pack_panel(corpus_values.row(j0), corpus_values.stride(), width,
                         dims, panel.data());
-    kern.dot_panel(query, 0, 1, panel.data(), dims, acc);
-    for (std::size_t r = 0; r < width; ++r) {
+    const kernels::PanelEpilogue ep{&query_norm, &corpus_norms[j0], width,
+                                    eps2};
+    std::uint32_t m = 0;
+    kern.dot_panel_hits(query, 0, 1, panel.data(), dims, ep, acc, &m);
+    for (; m != 0; m &= m - 1) {
+      const std::size_t r = static_cast<std::size_t>(std::countr_zero(m));
       const std::size_t j = j0 + r;
-      const float d2 = epilogue_dist2(acc[r], query_norm, corpus_norms[j]);
-      if (d2 <= eps2) {
-        out.push_back(QueryMatch{static_cast<std::uint32_t>(j), d2});
-      }
+      out.push_back(QueryMatch{static_cast<std::uint32_t>(j),
+                               epilogue_dist2(acc[r], query_norm,
+                                              corpus_norms[j])});
     }
   }
 }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstdlib>
 #include <cstring>
 #include <optional>
@@ -131,12 +132,13 @@ std::uint64_t execute_join(const FastedConfig& cfg,
     std::optional<BlockTileEngine> engine;
     if (emulated) engine.emplace(cfg);
     // Per-worker scratch: the packed corpus panel (domain-arena slice, see
-    // panel_scratch), the kernel's accumulator block, and the hit buffer.
-    // All entries of one sharded join share dims, so the panel is sized
-    // once.
+    // panel_scratch), the kernel's accumulator block and hit masks, and
+    // the hit buffer.  All entries of one sharded join share dims, so the
+    // panel is sized once.
     const std::size_t dims_all = entries.front().in.c_values->stride();
     float* panel = panel_scratch(pool, dims_all * kPanelWidth);
     float acc[kQueryBlock * kPanelWidth];
+    std::uint32_t masks[kQueryBlock];
     std::vector<PairHit> hits;
     std::uint64_t worker_total = 0;
     // Per-domain drain/steal tile tallies, attributed to the domain OWNING
@@ -201,15 +203,23 @@ std::uint64_t execute_join(const FastedConfig& cfg,
             pack_panel(c.row(c0), c.stride(), width, dims, panel);
             for (std::size_t i0 = t.q0; i0 < t.q1; i0 += kQueryBlock) {
               const std::size_t nq = std::min(kQueryBlock, t.q1 - i0);
-              kern.dot_panel(q.row(i0), q.stride(), nq, panel, dims, acc);
+              const PanelEpilogue ep{&sq[i0], &sc[c0], width, eps2};
+              kern.dot_panel_hits(q.row(i0), q.stride(), nq, panel, dims, ep,
+                                  acc, masks);
               for (std::size_t qi = 0; qi < nq; ++qi) {
                 const std::size_t i = i0 + qi;
-                const float si = sq[i];
+                std::uint32_t m = masks[qi];
+                if (t.diagonal) m &= lanes_above(i, c0);
+                if (m == 0) continue;
+                local += static_cast<std::uint64_t>(std::popcount(m));
+                if (!collect) continue;
                 const float* a = acc + qi * kPanelWidth;
-                for (std::size_t r = 0; r < width; ++r) {
-                  const std::size_t j = c0 + r;
-                  if (t.diagonal && j <= i) continue;
-                  emit(i, j, epilogue_dist2(a[r], si, sc[j]));
+                for (; m != 0; m &= m - 1) {
+                  const std::size_t j = c0 + std::countr_zero(m);
+                  hits.push_back(PairHit{
+                      static_cast<std::uint32_t>(i + qoff),
+                      static_cast<std::uint32_t>(j + coff),
+                      epilogue_dist2(a[j - c0], sq[i], sc[j])});
                 }
               }
             }

@@ -29,9 +29,12 @@ constexpr Variant kVariants[] = {
     {"scalar", &get_scalar, [](const CpuFeatures&) { return true; }},
     {"avx2", &rz_dot_avx2, [](const CpuFeatures& f) { return f.avx2 && f.fma; }},
     {"avx512", &rz_dot_avx512, [](const CpuFeatures& f) { return f.avx512f; }},
-    {"avx512fp16", &rz_dot_avx512fp16,
-     [](const CpuFeatures& f) { return f.avx512fp16 && f.avx512vl; }},
 };
+
+// Variants that no longer exist.  Selections naming them stay valid so
+// persisted schedules and scripts keep loading; they resolve like any
+// unsupported name (warn once, fall back to the per-domain best).
+constexpr const char* kRetired[] = {"avx512fp16"};
 
 // A selection naming a variant this build/CPU cannot run falls back to the
 // per-domain best — once per distinct name, so a schedule replayed across
@@ -119,6 +122,9 @@ const RzDotKernel& KernelRegistry::best_for(const CpuFeatures& f) const {
 bool KernelRegistry::known_name(const std::string& name) {
   for (const Variant& v : kVariants) {
     if (name == v.name) return true;
+  }
+  for (const char* retired : kRetired) {
+    if (name == retired) return true;
   }
   return false;
 }

@@ -82,7 +82,9 @@ class KernelRegistry {
   const RzDotKernel* env_pin() const { return env_pin_; }
 
   // True iff `name` is a compiled-in variant name ("scalar", "avx2",
-  // "avx512", "avx512fp16") — independent of what this CPU supports.
+  // "avx512") — independent of what this CPU supports — or a retired one
+  // ("avx512fp16"), which older schedules and scripts still name: those
+  // load and fall back to the per-domain best with the one-time warning.
   static bool known_name(const std::string& name);
 
  private:

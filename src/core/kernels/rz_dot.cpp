@@ -39,7 +39,23 @@ void dot_panel_scalar(const float* q, std::size_t q_stride, std::size_t nq,
   }
 }
 
-const RzDotKernel kScalar{"scalar", &dot_panel_scalar};
+void dot_panel_hits_scalar(const float* q, std::size_t q_stride,
+                           std::size_t nq, const float* panel,
+                           std::size_t dims, const PanelEpilogue& ep,
+                           float* acc, std::uint32_t* masks) {
+  dot_panel_scalar(q, q_stride, nq, panel, dims, acc);
+  for (std::size_t qi = 0; qi < nq; ++qi) {
+    std::uint32_t m = 0;
+    for (std::size_t r = 0; r < ep.width; ++r) {
+      const float d2 = epilogue_dist2(acc[qi * kPanelWidth + r],
+                                      ep.q_norms[qi], ep.c_norms[r]);
+      m |= static_cast<std::uint32_t>(d2 <= ep.eps2) << r;
+    }
+    masks[qi] = m;
+  }
+}
+
+const RzDotKernel kScalar{"scalar", &dot_panel_scalar, &dot_panel_hits_scalar};
 
 }  // namespace
 

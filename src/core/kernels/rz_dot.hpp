@@ -4,30 +4,42 @@
 // query join, kNN straggler sweeps — reduces to the same primitive: the
 // inner product of two FP16-exact rows accumulated in FP32 with
 // round-toward-zero, term by term, in ascending dimension order (the
-// tensor-core chain of common/rounding.hpp).  This header is the single
-// home of that primitive.
+// tensor-core chain of common/rounding.hpp).  One chain step is
+// RZ(acc + q*c) with a single rounding; the FP16 product is exact in FP32,
+// so this is exactly add_rz(acc, q*c).  This header is the single home of
+// that primitive and of the paper's Step 3 epilogue that follows it.
 //
 // Shape: one call evaluates a small dense block — up to kQueryBlock query
 // rows against a packed panel of kPanelWidth corpus rows — because the RZ
 // chain is a serial data dependency per pair and the only way to go faster
-// is to run many independent chains at once.  The scalar reference keeps
-// one chain per (query, corpus) cell; the AVX2/FMA variant runs the
-// kPanelWidth chains of a query as SIMD lanes (8 corpus rows per
-// instruction instead of the historical hand-unrolled 2); the AVX512
-// variant additionally collapses the round-toward-zero step into a single
-// embedded-rounding convert.  All variants are bit-identical to the
-// sequential add_rz chain for every pair — property-tested on randomized
-// dims/strides/tails in tests/core/kernels_test.cpp.
+// is to run many independent chains at once.  The variants:
+//  * scalar: one add_rz chain per (query, corpus) cell — the reference;
+//  * avx2: the 16 lanes of a query row as two YMM halves, each step an
+//    RN float add plus a TwoSum sign correction (exact RZ, no MXCSR
+//    changes);
+//  * avx512: one ZMM register per query row and ONE instruction per step,
+//    _mm512_fmadd_round_ps with embedded round-toward-zero — the
+//    tensor-core step itself, 4 cycles of dependency for 16 chains, 8 rows
+//    in flight to cover the FMA latency.
+// All variants are bit-identical to the sequential add_rz chain, which is
+// itself checked against the FPU's FE_TOWARDZERO mode: see
+// tests/core/kernels_test.cpp and tests/common/rounding_test.cpp.
+//
+// The epilogue (dot_panel_hits) runs in the same pass while the
+// accumulators are still in registers: it turns the block into one hit
+// bitmask per query row, bit r set iff epilogue_dist2 of lane r is within
+// eps2.  The executor then visits set bits only.
 //
 // Corpus rows are packed column-interleaved (pack_panel) so the inner loop
-// issues one contiguous aligned load per dimension; the pack is amortized
-// across every query row of a block tile, in the pre-allocated-scratch
-// spirit of the cpp-hpc-primitives exemplar (SNIPPETS.md §1).
+// issues one contiguous load per dimension; the pack is amortized across
+// every query row of a block tile, in the pre-allocated-scratch spirit of
+// the cpp-hpc-primitives exemplar (SNIPPETS.md §1).
 
 #pragma once
 
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 
 #include "common/rounding.hpp"
 
@@ -52,10 +64,11 @@ inline float rz_dot_pair(const float* a, const float* b, std::size_t dims) {
 }
 
 // Corpus rows per packed panel (SIMD lanes of one chain group).
-inline constexpr std::size_t kPanelWidth = 8;
+inline constexpr std::size_t kPanelWidth = 16;
 // Max query rows evaluated per call (independent chain groups in flight —
-// enough to hide the serial add_rz latency of a single group).
-inline constexpr std::size_t kQueryBlock = 4;
+// enough to cover the latency of one chain step).
+inline constexpr std::size_t kQueryBlock = 8;
+static_assert(kPanelWidth <= 32, "hit masks are 32-bit");
 
 // Computes acc[qi * kPanelWidth + r] = RZ-chain dot product of query row qi
 // (rows `q`, `q + q_stride`, ... for `nq` rows, 1 <= nq <= kQueryBlock)
@@ -66,10 +79,36 @@ using RzDotPanelFn = void (*)(const float* q, std::size_t q_stride,
                               std::size_t nq, const float* panel,
                               std::size_t dims, float* acc);
 
-struct RzDotKernel {
-  const char* name;  // "scalar", "avx2", "avx512", "avx512fp16"
-  RzDotPanelFn dot_panel;
+// Step 3 inputs of one panel block.
+struct PanelEpilogue {
+  const float* q_norms;  // nq squared norms, one per query row
+  const float* c_norms;  // width squared norms, one per packed panel row
+  std::size_t width;     // packed rows; lanes >= width are never hits
+  float eps2;
 };
+
+// dot_panel, then the epilogue in the same pass: masks[qi] bit r is set iff
+// r < width and epilogue_dist2(acc[qi * kPanelWidth + r], q_norms[qi],
+// c_norms[r]) <= eps2.  `acc` is filled as by dot_panel, so callers can
+// read the distance of a hit without recomputing the chain.
+using RzDotHitsFn = void (*)(const float* q, std::size_t q_stride,
+                             std::size_t nq, const float* panel,
+                             std::size_t dims, const PanelEpilogue& ep,
+                             float* acc, std::uint32_t* masks);
+
+struct RzDotKernel {
+  const char* name;  // "scalar", "avx2", "avx512"
+  RzDotPanelFn dot_panel;
+  RzDotHitsFn dot_panel_hits;
+};
+
+// Lanes r of a panel starting at corpus row c0 with c0 + r > i: the strict
+// upper triangle of query row i in a diagonal tile.
+inline std::uint32_t lanes_above(std::size_t i, std::size_t c0) {
+  if (i < c0) return ~0u;
+  const std::size_t skip = i - c0 + 1;
+  return skip >= 32 ? 0u : ~0u << skip;
+}
 
 // Packs `nrows` (<= kPanelWidth) consecutive rows starting at `rows` with
 // stride `row_stride` into the column-interleaved layout
@@ -82,12 +121,11 @@ void pack_panel(const float* rows, std::size_t row_stride, std::size_t nrows,
 const RzDotKernel& rz_dot_scalar();
 
 // SIMD variants; nullptr when the build or the running CPU lacks support.
-// Which variant actually runs is no longer decided here: the immutable
+// Which variant actually runs is not decided here: the immutable
 // KernelRegistry (core/kernels/kernel_context.hpp) enumerates these, and a
 // per-domain KernelContext is threaded explicitly through the executor —
 // there is no ambient process-global kernel and no mutable override.
 const RzDotKernel* rz_dot_avx2();
 const RzDotKernel* rz_dot_avx512();
-const RzDotKernel* rz_dot_avx512fp16();
 
 }  // namespace fasted::kernels

@@ -1,14 +1,20 @@
-// AVX2/FMA rz_dot variant: the kPanelWidth independent RZ chains of one
-// query become the 8 lanes of a YMM accumulator.
+// AVX2/FMA rz_dot variant: the 16 panel lanes of a query row are two YMM
+// halves of 8 independent RZ chains.
 //
-// add_rz(a, b) is RZ(a + b) with a single rounding, computed exactly as the
-// scalar helper does (common/rounding.hpp): the double sum of two floats is
-// exact, the round-to-nearest narrowing may overshoot the magnitude by one
-// ulp, and stepping the float's bit pattern toward zero repairs it (which
-// also turns an overflowed infinity into FLT_MAX, the RZ overflow value).
-// The vector form mirrors that bit operation lane by lane, so the variant
-// is bit-identical to the scalar chain by construction — no rounding-mode
-// (MXCSR) games, deterministic under any compiler flags or sanitizers.
+// A chain step is RZ(acc + p) for floats acc and p (p = q*c, exact for the
+// pipeline's FP16 inputs).  The variant computes it in the float domain
+// with no rounding-mode (MXCSR) changes: s = RN(acc + p), and Knuth's
+// TwoSum gives the exact error e = (acc + p) - s.  If e is zero or has the
+// sign of s, the true sum lies between s and the next float away from
+// zero, so RZ is s; if it points toward zero, RZ is the next float toward
+// zero, one step down s's bit pattern for either sign.  An RN overflow to
+// +-inf steps down to +-FLT_MAX, the RZ overflow value.  For finite
+// inputs that is exactly add_rz (common/rounding.hpp) lane by lane, so the
+// variant is bit-identical to the scalar chain by construction —
+// deterministic under any compiler flags or sanitizers.
+//
+// Four query rows (8 chains) are in flight per pass over the panel, which
+// fits the 16 YMM registers; a block of 8 rows takes two passes.
 //
 // This file is compiled with -mavx2 -mfma on x86-64 (see CMakeLists.txt);
 // everywhere else it degrades to a nullptr stub and dispatch stays scalar.
@@ -19,79 +25,133 @@
 
 #include <immintrin.h>
 
+#include <algorithm>
+#include <cstring>
+#include <type_traits>
+
 namespace fasted::kernels {
 namespace {
 
+static_assert(kPanelWidth == 16, "two YMM halves hold a panel column");
+
 // Lane-wise add_rz: 8 chains advance one term per call.
 inline __m256 add_rz8(__m256 acc, __m256 prod) {
-  const __m256d a_lo = _mm256_cvtps_pd(_mm256_castps256_ps128(acc));
-  const __m256d a_hi = _mm256_cvtps_pd(_mm256_extractf128_ps(acc, 1));
-  const __m256d p_lo = _mm256_cvtps_pd(_mm256_castps256_ps128(prod));
-  const __m256d p_hi = _mm256_cvtps_pd(_mm256_extractf128_ps(prod, 1));
-  const __m256d s_lo = _mm256_add_pd(a_lo, p_lo);  // exact
-  const __m256d s_hi = _mm256_add_pd(a_hi, p_hi);
-  const __m128 f_lo = _mm256_cvtpd_ps(s_lo);  // round-to-nearest
-  const __m128 f_hi = _mm256_cvtpd_ps(s_hi);
-  // Overshoot mask per 64-bit lane: |RN(s)| > |s|.
-  const __m256d abs_mask =
-      _mm256_castsi256_pd(_mm256_set1_epi64x(0x7fffffffffffffffLL));
-  const __m256d over_lo =
-      _mm256_cmp_pd(_mm256_and_pd(_mm256_cvtps_pd(f_lo), abs_mask),
-                    _mm256_and_pd(s_lo, abs_mask), _CMP_GT_OQ);
-  const __m256d over_hi =
-      _mm256_cmp_pd(_mm256_and_pd(_mm256_cvtps_pd(f_hi), abs_mask),
-                    _mm256_and_pd(s_hi, abs_mask), _CMP_GT_OQ);
-  // Compress each 64-bit mask to the matching 32-bit float lane (pick the
-  // low word of every mask) and add it: all-ones is -1, stepping the float
-  // bit pattern one ulp toward zero for either sign.
-  const __m256i pick = _mm256_setr_epi32(0, 2, 4, 6, 0, 0, 0, 0);
-  const __m128i m_lo = _mm256_castsi256_si128(
-      _mm256_permutevar8x32_epi32(_mm256_castpd_si256(over_lo), pick));
-  const __m128i m_hi = _mm256_castsi256_si128(
-      _mm256_permutevar8x32_epi32(_mm256_castpd_si256(over_hi), pick));
-  const __m128i r_lo = _mm_add_epi32(_mm_castps_si128(f_lo), m_lo);
-  const __m128i r_hi = _mm_add_epi32(_mm_castps_si128(f_hi), m_hi);
-  return _mm256_set_m128(_mm_castsi128_ps(r_hi), _mm_castsi128_ps(r_lo));
+  const __m256 s = _mm256_add_ps(acc, prod);  // round-to-nearest
+  const __m256 pv = _mm256_sub_ps(s, acc);
+  const __m256 e = _mm256_add_ps(_mm256_sub_ps(acc, _mm256_sub_ps(s, pv)),
+                                 _mm256_sub_ps(prod, pv));
+  // -1 in the lanes where e != 0 and sign(e) != sign(s), or where s
+  // overflowed; adding it steps the bit pattern one ulp toward zero.
+  const __m256i opposed = _mm256_and_si256(
+      _mm256_srai_epi32(_mm256_castps_si256(_mm256_xor_ps(e, s)), 31),
+      _mm256_castps_si256(_mm256_cmp_ps(e, _mm256_setzero_ps(), _CMP_NEQ_OQ)));
+  const __m256 abs_mask =
+      _mm256_castsi256_ps(_mm256_set1_epi32(0x7fffffff));
+  const __m256i overflow = _mm256_castps_si256(
+      _mm256_cmp_ps(_mm256_and_ps(s, abs_mask),
+                    _mm256_set1_ps(__builtin_inff()), _CMP_EQ_OQ));
+  return _mm256_castsi256_ps(
+      _mm256_add_epi32(_mm256_castps_si256(s),
+                       _mm256_or_si256(opposed, overflow)));
+}
+
+// The chains of NQ (<= 4) query rows: lo/hi[qi] hold lanes 0-7 / 8-15.
+template <std::size_t NQ>
+inline void run_chains(const float* q, std::size_t q_stride,
+                       const float* panel, std::size_t dims, __m256 (&lo)[NQ],
+                       __m256 (&hi)[NQ]) {
+  for (std::size_t qi = 0; qi < NQ; ++qi) {
+    lo[qi] = _mm256_setzero_ps();
+    hi[qi] = _mm256_setzero_ps();
+  }
+  for (std::size_t k = 0; k < dims; ++k) {
+    const __m256 col_lo = _mm256_loadu_ps(panel + k * kPanelWidth);
+    const __m256 col_hi = _mm256_loadu_ps(panel + k * kPanelWidth + 8);
+    for (std::size_t qi = 0; qi < NQ; ++qi) {
+      const __m256 qk = _mm256_set1_ps(q[qi * q_stride + k]);
+      lo[qi] = add_rz8(lo[qi], _mm256_mul_ps(qk, col_lo));
+      hi[qi] = add_rz8(hi[qi], _mm256_mul_ps(qk, col_hi));
+    }
+  }
+}
+
+template <std::size_t NQ>
+void dot_block(const float* q, std::size_t q_stride, const float* panel,
+               std::size_t dims, float* acc) {
+  __m256 lo[NQ], hi[NQ];
+  run_chains<NQ>(q, q_stride, panel, dims, lo, hi);
+  for (std::size_t qi = 0; qi < NQ; ++qi) {
+    _mm256_storeu_ps(acc + qi * kPanelWidth, lo[qi]);
+    _mm256_storeu_ps(acc + qi * kPanelWidth + 8, hi[qi]);
+  }
+}
+
+// Hit bits of one 8-lane half: fma(-2, a, si + sj) <= eps2 in
+// round-to-nearest, bit for bit the scalar epilogue_dist2.
+inline std::uint32_t half_hits(__m256 a, __m256 si, __m256 sj, __m256 eps2) {
+  const __m256 d2 =
+      _mm256_fmadd_ps(_mm256_set1_ps(-2.0f), a, _mm256_add_ps(si, sj));
+  return static_cast<std::uint32_t>(
+      _mm256_movemask_ps(_mm256_cmp_ps(d2, eps2, _CMP_LE_OQ)));
+}
+
+template <std::size_t NQ>
+void hits_block(const float* q, std::size_t q_stride, const float* panel,
+                std::size_t dims, const PanelEpilogue& ep, float* acc,
+                std::uint32_t* masks) {
+  __m256 lo[NQ], hi[NQ];
+  run_chains<NQ>(q, q_stride, panel, dims, lo, hi);
+  float norms[kPanelWidth] = {};
+  std::memcpy(norms, ep.c_norms, ep.width * sizeof(float));
+  const __m256 sj_lo = _mm256_loadu_ps(norms);
+  const __m256 sj_hi = _mm256_loadu_ps(norms + 8);
+  const __m256 eps2 = _mm256_set1_ps(ep.eps2);
+  const std::uint32_t valid = (std::uint32_t{1} << ep.width) - 1;
+  for (std::size_t qi = 0; qi < NQ; ++qi) {
+    _mm256_storeu_ps(acc + qi * kPanelWidth, lo[qi]);
+    _mm256_storeu_ps(acc + qi * kPanelWidth + 8, hi[qi]);
+    const __m256 si = _mm256_set1_ps(ep.q_norms[qi]);
+    masks[qi] = (half_hits(lo[qi], si, sj_lo, eps2) |
+                 half_hits(hi[qi], si, sj_hi, eps2) << 8) &
+                valid;
+  }
+}
+
+// Runs f over the block in passes of up to 4 rows, each height a
+// compile-time constant: f(rows, first_row).
+template <class F>
+inline void in_passes(std::size_t nq, F&& f) {
+  for (std::size_t q0 = 0; q0 < nq; q0 += 4) {
+    switch (std::min<std::size_t>(4, nq - q0)) {
+      case 1: f(std::integral_constant<std::size_t, 1>{}, q0); break;
+      case 2: f(std::integral_constant<std::size_t, 2>{}, q0); break;
+      case 3: f(std::integral_constant<std::size_t, 3>{}, q0); break;
+      default: f(std::integral_constant<std::size_t, 4>{}, q0); break;
+    }
+  }
 }
 
 void dot_panel_avx2(const float* q, std::size_t q_stride, std::size_t nq,
                     const float* panel, std::size_t dims, float* acc) {
-  if (nq == kQueryBlock) {
-    // Four query chains share every panel load; the independent chains keep
-    // the long add_rz8 latency chain fed.
-    const float* q0 = q;
-    const float* q1 = q + q_stride;
-    const float* q2 = q + 2 * q_stride;
-    const float* q3 = q + 3 * q_stride;
-    __m256 a0 = _mm256_setzero_ps();
-    __m256 a1 = _mm256_setzero_ps();
-    __m256 a2 = _mm256_setzero_ps();
-    __m256 a3 = _mm256_setzero_ps();
-    for (std::size_t k = 0; k < dims; ++k) {
-      const __m256 col = _mm256_loadu_ps(panel + k * kPanelWidth);
-      a0 = add_rz8(a0, _mm256_mul_ps(_mm256_set1_ps(q0[k]), col));
-      a1 = add_rz8(a1, _mm256_mul_ps(_mm256_set1_ps(q1[k]), col));
-      a2 = add_rz8(a2, _mm256_mul_ps(_mm256_set1_ps(q2[k]), col));
-      a3 = add_rz8(a3, _mm256_mul_ps(_mm256_set1_ps(q3[k]), col));
-    }
-    _mm256_storeu_ps(acc, a0);
-    _mm256_storeu_ps(acc + kPanelWidth, a1);
-    _mm256_storeu_ps(acc + 2 * kPanelWidth, a2);
-    _mm256_storeu_ps(acc + 3 * kPanelWidth, a3);
-    return;
-  }
-  for (std::size_t qi = 0; qi < nq; ++qi) {
-    const float* query = q + qi * q_stride;
-    __m256 a = _mm256_setzero_ps();
-    for (std::size_t k = 0; k < dims; ++k) {
-      const __m256 col = _mm256_loadu_ps(panel + k * kPanelWidth);
-      a = add_rz8(a, _mm256_mul_ps(_mm256_set1_ps(query[k]), col));
-    }
-    _mm256_storeu_ps(acc + qi * kPanelWidth, a);
-  }
+  in_passes(nq, [&](auto rows, std::size_t q0) {
+    dot_block<decltype(rows)::value>(q + q0 * q_stride, q_stride, panel, dims,
+                                     acc + q0 * kPanelWidth);
+  });
 }
 
-const RzDotKernel kAvx2{"avx2", &dot_panel_avx2};
+void dot_panel_hits_avx2(const float* q, std::size_t q_stride, std::size_t nq,
+                         const float* panel, std::size_t dims,
+                         const PanelEpilogue& ep, float* acc,
+                         std::uint32_t* masks) {
+  in_passes(nq, [&](auto rows, std::size_t q0) {
+    const PanelEpilogue pass{ep.q_norms + q0, ep.c_norms, ep.width, ep.eps2};
+    hits_block<decltype(rows)::value>(q + q0 * q_stride, q_stride, panel, dims,
+                                      pass, acc + q0 * kPanelWidth,
+                                      masks + q0);
+  });
+}
+
+const RzDotKernel kAvx2{"avx2", &dot_panel_avx2, &dot_panel_hits_avx2};
 
 }  // namespace
 

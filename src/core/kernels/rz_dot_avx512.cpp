@@ -1,12 +1,18 @@
-// AVX-512F rz_dot variant: the whole add_rz step collapses to three
-// instructions per 8 lanes.
+// AVX-512F rz_dot variant: one instruction per chain step.
 //
-// The chain sum of two floats is exact in double (cvtps_pd + add_pd), and
-// EVEX embedded rounding converts it back to FP32 rounding toward zero in
-// one instruction — exactly the single-rounding RZ(a + b) the scalar
-// add_rz computes, including the FLT_MAX overflow clamp, with no MXCSR
-// manipulation.  Bit-identical to the scalar chain; property-tested in
-// tests/core/kernels_test.cpp.
+// A chain step is RZ(acc + q*c) with a single rounding, and the FP16
+// product q*c is exact in FP32 — so _mm512_fmadd_round_ps with embedded
+// round-toward-zero computes the tensor-core step exactly, 16 panel lanes
+// at a time, with no MXCSR manipulation.  (The fused multiply never rounds
+// the product, and the one rounding of the sum is the hardware's own RZ,
+// so the step is exact even where a double-precision sum would not be.)
+// The dependency is one FMA latency (4 cycles), so 8 query rows — 8
+// independent ZMM accumulators — keep both FMA ports busy.
+//
+// dot_panel_hits runs the paper's Step 3 epilogue before the accumulators
+// leave their registers: fma(-2, acc, si + sj) in round-to-nearest (bit
+// for bit the scalar epilogue_dist2) compared against eps2 under the
+// valid-lane mask, one 16-bit hit mask per query row.
 //
 // Compiled with -mavx512f on x86-64 (see CMakeLists.txt); elsewhere this
 // is a nullptr stub.
@@ -17,51 +23,98 @@
 
 #include <immintrin.h>
 
+#include <cstring>
+#include <type_traits>
+
 namespace fasted::kernels {
 namespace {
 
-inline __m256 add_rz8(__m256 acc, __m256 prod) {
-  const __m512d s =
-      _mm512_add_pd(_mm512_cvtps_pd(acc), _mm512_cvtps_pd(prod));  // exact
-  return _mm512_cvt_roundpd_ps(s, _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC);
+static_assert(kPanelWidth == 16, "one ZMM register holds a panel column");
+
+constexpr int kRz = _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC;
+
+// The chains of NQ query rows: a[qi] holds the 16 lanes of row qi.
+template <std::size_t NQ>
+inline void run_chains(const float* q, std::size_t q_stride,
+                       const float* panel, std::size_t dims, __m512 (&a)[NQ]) {
+  for (std::size_t qi = 0; qi < NQ; ++qi) a[qi] = _mm512_setzero_ps();
+  for (std::size_t k = 0; k < dims; ++k) {
+    const __m512 col = _mm512_loadu_ps(panel + k * kPanelWidth);
+    for (std::size_t qi = 0; qi < NQ; ++qi) {
+      a[qi] = _mm512_fmadd_round_ps(_mm512_set1_ps(q[qi * q_stride + k]), col,
+                                    a[qi], kRz);
+    }
+  }
 }
+
+template <std::size_t NQ>
+void dot_block(const float* q, std::size_t q_stride, const float* panel,
+               std::size_t dims, float* acc) {
+  __m512 a[NQ];
+  run_chains<NQ>(q, q_stride, panel, dims, a);
+  for (std::size_t qi = 0; qi < NQ; ++qi) {
+    _mm512_storeu_ps(acc + qi * kPanelWidth, a[qi]);
+  }
+}
+
+template <std::size_t NQ>
+void hits_block(const float* q, std::size_t q_stride, const float* panel,
+                std::size_t dims, const PanelEpilogue& ep, float* acc,
+                std::uint32_t* masks) {
+  __m512 a[NQ];
+  run_chains<NQ>(q, q_stride, panel, dims, a);
+  // The panel's norms through a zero-padded copy: c_norms holds only
+  // `width` floats, and a plain copy keeps every read visible to ASan.
+  float norms[kPanelWidth] = {};
+  std::memcpy(norms, ep.c_norms, ep.width * sizeof(float));
+  const __m512 sj = _mm512_loadu_ps(norms);
+  const __mmask16 valid =
+      static_cast<__mmask16>((std::uint32_t{1} << ep.width) - 1);
+  const __m512 minus2 = _mm512_set1_ps(-2.0f);
+  const __m512 eps2 = _mm512_set1_ps(ep.eps2);
+  for (std::size_t qi = 0; qi < NQ; ++qi) {
+    _mm512_storeu_ps(acc + qi * kPanelWidth, a[qi]);
+    const __m512 s = _mm512_add_ps(_mm512_set1_ps(ep.q_norms[qi]), sj);
+    const __m512 d2 = _mm512_fmadd_ps(minus2, a[qi], s);
+    masks[qi] = _mm512_mask_cmp_ps_mask(valid, d2, eps2, _CMP_LE_OQ);
+  }
+}
+
+// Calls f with nq (1..kQueryBlock) as a compile-time constant, so every
+// block height gets fully unrolled register-resident chains.
+template <class F>
+inline void with_rows(std::size_t nq, F&& f) {
+  switch (nq) {
+    case 1: return f(std::integral_constant<std::size_t, 1>{});
+    case 2: return f(std::integral_constant<std::size_t, 2>{});
+    case 3: return f(std::integral_constant<std::size_t, 3>{});
+    case 4: return f(std::integral_constant<std::size_t, 4>{});
+    case 5: return f(std::integral_constant<std::size_t, 5>{});
+    case 6: return f(std::integral_constant<std::size_t, 6>{});
+    case 7: return f(std::integral_constant<std::size_t, 7>{});
+    default: return f(std::integral_constant<std::size_t, 8>{});
+  }
+}
+static_assert(kQueryBlock == 8, "with_rows covers 1..8 query rows");
 
 void dot_panel_avx512(const float* q, std::size_t q_stride, std::size_t nq,
                       const float* panel, std::size_t dims, float* acc) {
-  if (nq == kQueryBlock) {
-    const float* q0 = q;
-    const float* q1 = q + q_stride;
-    const float* q2 = q + 2 * q_stride;
-    const float* q3 = q + 3 * q_stride;
-    __m256 a0 = _mm256_setzero_ps();
-    __m256 a1 = _mm256_setzero_ps();
-    __m256 a2 = _mm256_setzero_ps();
-    __m256 a3 = _mm256_setzero_ps();
-    for (std::size_t k = 0; k < dims; ++k) {
-      const __m256 col = _mm256_loadu_ps(panel + k * kPanelWidth);
-      a0 = add_rz8(a0, _mm256_mul_ps(_mm256_set1_ps(q0[k]), col));
-      a1 = add_rz8(a1, _mm256_mul_ps(_mm256_set1_ps(q1[k]), col));
-      a2 = add_rz8(a2, _mm256_mul_ps(_mm256_set1_ps(q2[k]), col));
-      a3 = add_rz8(a3, _mm256_mul_ps(_mm256_set1_ps(q3[k]), col));
-    }
-    _mm256_storeu_ps(acc, a0);
-    _mm256_storeu_ps(acc + kPanelWidth, a1);
-    _mm256_storeu_ps(acc + 2 * kPanelWidth, a2);
-    _mm256_storeu_ps(acc + 3 * kPanelWidth, a3);
-    return;
-  }
-  for (std::size_t qi = 0; qi < nq; ++qi) {
-    const float* query = q + qi * q_stride;
-    __m256 a = _mm256_setzero_ps();
-    for (std::size_t k = 0; k < dims; ++k) {
-      const __m256 col = _mm256_loadu_ps(panel + k * kPanelWidth);
-      a = add_rz8(a, _mm256_mul_ps(_mm256_set1_ps(query[k]), col));
-    }
-    _mm256_storeu_ps(acc + qi * kPanelWidth, a);
-  }
+  with_rows(nq, [&](auto rows) {
+    dot_block<decltype(rows)::value>(q, q_stride, panel, dims, acc);
+  });
 }
 
-const RzDotKernel kAvx512{"avx512", &dot_panel_avx512};
+void dot_panel_hits_avx512(const float* q, std::size_t q_stride,
+                           std::size_t nq, const float* panel,
+                           std::size_t dims, const PanelEpilogue& ep,
+                           float* acc, std::uint32_t* masks) {
+  with_rows(nq, [&](auto rows) {
+    hits_block<decltype(rows)::value>(q, q_stride, panel, dims, ep, acc,
+                                      masks);
+  });
+}
+
+const RzDotKernel kAvx512{"avx512", &dot_panel_avx512, &dot_panel_hits_avx512};
 
 }  // namespace
 

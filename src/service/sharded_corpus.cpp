@@ -361,8 +361,21 @@ float ShardedCorpus::calibrate_over(const Snapshot& snap, double target) {
     double w;  // per-distance weight scaled by the candidate shard's
                // alive fraction (the cumulative-sum side)
   };
+  // Blocks first (building any that are missing), so the pool is sized
+  // once instead of reallocating for every block.
+  std::vector<std::shared_ptr<const std::vector<double>>> blocks;
+  blocks.reserve(snap.size() * snap.size());
+  std::size_t pooled = 0;
+  for (const ShardSlot& sslot : snap) {
+    for (const ShardSlot& tslot : snap) {
+      blocks.push_back(block_of(*sslot.shard, *tslot.shard));
+      pooled += blocks.back()->size();
+    }
+  }
   std::vector<Weighted> pool;
+  pool.reserve(pooled);
   double total = 0;  // unscaled pool weight (the normalizer side)
+  auto block = blocks.begin();
   for (const ShardSlot& sslot : snap) {
     const Shard& s = *sslot.shard;
     const double share = static_cast<double>(s.rows()) / static_cast<double>(n);
@@ -370,18 +383,17 @@ float ShardedCorpus::calibrate_over(const Snapshot& snap, double target) {
         share / (static_cast<double>(s.sample_ids.size()) *
                  static_cast<double>(n - 1));
     for (const ShardSlot& tslot : snap) {
-      const auto block = block_of(s, *tslot.shard);
       const std::size_t t_rows = tslot.shard->rows();
       const double alive_frac =
           t_rows == 0 ? 1.0
                       : static_cast<double>(t_rows - tslot.dead_count) /
                             static_cast<double>(t_rows);
       const double alive_dist = per_dist * alive_frac;
-      pool.reserve(pool.size() + block->size());
-      for (const double d2 : *block) {
+      for (const double d2 : **block) {
         pool.push_back(Weighted{d2, alive_dist});
       }
-      total += per_dist * static_cast<double>(block->size());
+      total += per_dist * static_cast<double>((*block)->size());
+      ++block;
     }
   }
   std::sort(pool.begin(), pool.end(),

@@ -2,10 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cfenv>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 
+#include "../hw_rz.hpp"
+#include "common/fp16.hpp"
 #include "common/rng.hpp"
 
 namespace fasted {
@@ -99,15 +103,14 @@ TEST(AddRz, ExactWhenRepresentable) {
 }
 
 TEST(AddRz, BitEquivalentToReferenceRounding) {
-  // The branchless hot-path add_rz must match the reference
-  // round_toward_zero for random inputs across magnitudes...
+  // The branchless hot-path add_rz must match the FPU's own RZ addition
+  // for random inputs across magnitudes...
   Rng rng(77);
   for (int t = 0; t < 200000; ++t) {
     const float a = static_cast<float>(rng.uniform(-1e6, 1e6));
     const float b = static_cast<float>(
         rng.uniform(-1.0, 1.0) * std::pow(10.0, rng.uniform(-6, 6)));
-    const float ref = round_toward_zero(static_cast<double>(a) + b);
-    ASSERT_EQ(add_rz(a, b), ref) << a << " + " << b;
+    ASSERT_EQ(add_rz(a, b), hw::add_rz(a, b)) << a << " + " << b;
   }
 }
 
@@ -119,9 +122,11 @@ TEST(AddRz, BitEquivalentOnEdgeCases) {
                          -big, tiny,  -tiny, 0.5f,  -0.5f};
   for (float a : cases) {
     for (float b : cases) {
-      const float ref = round_toward_zero(static_cast<double>(a) +
-                                          static_cast<double>(b));
-      EXPECT_EQ(add_rz(a, b), ref) << a << " + " << b;
+      const float got = add_rz(a, b);
+      const float ref = hw::add_rz(a, b);
+      EXPECT_EQ(std::bit_cast<std::uint32_t>(got),
+                std::bit_cast<std::uint32_t>(ref))
+          << a << " + " << b;
     }
   }
   // Overflow clamps to max finite (RZ semantics).
@@ -129,13 +134,67 @@ TEST(AddRz, BitEquivalentOnEdgeCases) {
   EXPECT_EQ(add_rz(-big, -big), -big);
 }
 
-TEST(FmaRz, SingleRounding) {
-  // fma_rz must round once: a*b + c where a*b alone is inexact in float.
-  const float a = 1.0f + 0x1.0p-23f;
-  const float b = 1.0f + 0x1.0p-23f;
-  const float c = -1.0f;
-  const double exact = static_cast<double>(a) * b + c;
-  EXPECT_EQ(fma_rz(a, b, c), round_toward_zero(exact));
+TEST(AddRz, ExponentSpreadBeyondDoubleRegression) {
+  // -2^-48 is the product of two FP16 subnormals.  The double sum 64 - 2^-48
+  // rounds to 64, whose truncation is 64; hardware RZ gives the float just
+  // below.  A plain double sum is only exact for spreads up to 29 bits.
+  EXPECT_EQ(add_rz(64.0f, -0x1p-48f), 0x1.fffffep+5f);
+  EXPECT_EQ(add_rz(-64.0f, 0x1p-48f), -0x1.fffffep+5f);
+  EXPECT_EQ(add_rz(1000.0f, -0x1p-48f), std::nextafterf(1000.0f, 0.0f));
+  // Same-sign tiny addends truncate away.
+  EXPECT_EQ(add_rz(64.0f, 0x1p-48f), 64.0f);
+  EXPECT_EQ(add_rz(-64.0f, -0x1p-48f), -64.0f);
+}
+
+// Adversarial RZ operands: accumulators of either sign up to 2^15, and
+// products of FP16 factors that are subnormal, tiny normal or ordinary,
+// so exponent spreads run past the 53 bits of a double sum.
+float adversarial_accumulator(Rng& rng) {
+  const int exp = -24 + static_cast<int>(rng.next_u64() % 40);
+  const float mant =
+      1.0f + static_cast<float>(rng.next_u64() % (1u << 23)) * 0x1p-23f;
+  const float v = std::ldexp(mant, exp);
+  return rng.next_u64() % 2 == 0 ? v : -v;
+}
+
+float adversarial_fp16(Rng& rng) {
+  const float frac = static_cast<float>(rng.next_u64() % 1024) / 1024.0f;
+  float v = 0.0f;
+  switch (rng.next_u64() % 3) {
+    case 0:  // subnormal: k * 2^-24
+      v = static_cast<float>(1 + rng.next_u64() % 1023) * 0x1p-24f;
+      break;
+    case 1:  // tiny normal
+      v = std::ldexp(1.0f + frac, -14 + static_cast<int>(rng.next_u64() % 5));
+      break;
+    default:
+      v = std::ldexp(1.0f + frac, -4 + static_cast<int>(rng.next_u64() % 12));
+      break;
+  }
+  return rng.next_u64() % 2 == 0 ? v : -v;
+}
+
+TEST(AddRz, MatchesHardwareRzOnAdversarialSpreads) {
+  Rng rng(4242);
+  for (int t = 0; t < 200000; ++t) {
+    const float acc = adversarial_accumulator(rng);
+    const float x = adversarial_fp16(rng);
+    const float y = adversarial_fp16(rng);
+    ASSERT_EQ(quantize_fp16(x), x);
+    ASSERT_EQ(quantize_fp16(y), y);
+    const float prod = x * y;  // exact: FP16 products fit in FP32
+    ASSERT_EQ(static_cast<double>(prod), static_cast<double>(x) * y);
+    const float got = add_rz(acc, prod);
+    const float ref = hw::add_rz(acc, prod);
+    ASSERT_EQ(std::bit_cast<std::uint32_t>(got),
+              std::bit_cast<std::uint32_t>(ref))
+        << acc << " + " << x << " * " << y;
+    // The hardware's fused step agrees: with an exact product it is the
+    // same single rounding.
+    ASSERT_EQ(std::bit_cast<std::uint32_t>(got),
+              std::bit_cast<std::uint32_t>(hw::fma_rz(x, y, acc)))
+        << acc << " + " << x << " * " << y;
+  }
 }
 
 TEST(MulRz, AgainstDouble) {

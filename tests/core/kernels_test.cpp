@@ -14,12 +14,14 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <map>
 #include <span>
 #include <thread>
 #include <vector>
 
+#include "../hw_rz.hpp"
 #include "common/check.hpp"
 #include "common/fp16.hpp"
 #include "common/rng.hpp"
@@ -88,6 +90,197 @@ TEST(RzDotKernels, AllVariantsMatchScalarChainOnRandomizedShapes) {
   }
 }
 
+// FP16 coordinates built to stress the RZ chain: ordinary values grow
+// accumulators to ~2^15, then subnormal and tiny-normal factors add
+// products down to 2^-48 of either sign — exponent spreads past the 53
+// bits of a double sum.
+float adversarial_fp16(Rng& rng) {
+  const float frac = static_cast<float>(rng.next_u64() % 1024) / 1024.0f;
+  float v = 0.0f;
+  switch (rng.next_u64() % 4) {
+    case 0: {  // subnormal: k * 2^-24, often tiny k
+      const std::uint64_t kmax = rng.next_u64() % 2 == 0 ? 1023 : 7;
+      v = static_cast<float>(1 + rng.next_u64() % kmax) * 0x1p-24f;
+      break;
+    }
+    case 1:  // tiny normal
+      v = std::ldexp(1.0f + frac, -14 + static_cast<int>(rng.next_u64() % 5));
+      break;
+    default:  // ordinary, up to 2^7
+      v = std::ldexp(1.0f + frac, -2 + static_cast<int>(rng.next_u64() % 9));
+      break;
+  }
+  return rng.next_u64() % 2 == 0 ? v : -v;
+}
+
+std::vector<float> adversarial_rows(Rng& rng, std::size_t count) {
+  std::vector<float> out(count);
+  for (auto& v : out) v = adversarial_fp16(rng);
+  return out;
+}
+
+TEST(RzDotKernels, EveryVariantMatchesHardwareRzOracle) {
+  // The reference itself is checked: rz_dot_pair and every supported
+  // kernel's dot_panel must equal a chain of per-step hardware RZ FMAs
+  // (FE_TOWARDZERO + fmaf) bit for bit.
+  Rng rng(1303);
+  const auto& kernels_list = kernels::KernelRegistry::global().supported();
+  for (int trial = 0; trial < 150; ++trial) {
+    const std::size_t dims = 1 + rng.next_u64() % 130;
+    const std::size_t nrows = 1 + rng.next_u64() % kPanelWidth;
+    const std::size_t nq = 1 + rng.next_u64() % kQueryBlock;
+    const auto corpus = adversarial_rows(rng, nrows * dims);
+    const auto queries = adversarial_rows(rng, nq * dims);
+    std::vector<float> panel(dims * kPanelWidth);
+    kernels::pack_panel(corpus.data(), dims, nrows, dims, panel.data());
+
+    std::vector<float> expect(nq * kPanelWidth, 0.0f);
+    for (std::size_t qi = 0; qi < nq; ++qi) {
+      for (std::size_t r = 0; r < nrows; ++r) {
+        const float* a = queries.data() + qi * dims;
+        const float* b = corpus.data() + r * dims;
+        const float ref = hw::rz_dot(a, b, dims);
+        expect[qi * kPanelWidth + r] = ref;
+        ASSERT_EQ(std::bit_cast<std::uint32_t>(ref),
+                  std::bit_cast<std::uint32_t>(kernels::rz_dot_pair(a, b, dims)))
+            << "rz_dot_pair trial " << trial << " q " << qi << " row " << r;
+      }
+    }
+    for (const kernels::RzDotKernel* kern : kernels_list) {
+      std::vector<float> acc(nq * kPanelWidth, -1.0f);
+      kern->dot_panel(queries.data(), dims, nq, panel.data(), dims,
+                      acc.data());
+      for (std::size_t i = 0; i < acc.size(); ++i) {
+        ASSERT_EQ(std::bit_cast<std::uint32_t>(expect[i]),
+                  std::bit_cast<std::uint32_t>(acc[i]))
+            << kern->name << " trial " << trial << " dims " << dims
+            << " cell " << i << " expect " << expect[i] << " got " << acc[i];
+      }
+    }
+  }
+}
+
+TEST(RzDotKernels, EmulatedAndFastPathsMatchHardwareRzOracle) {
+  // End to end on adversarial FP16 data: the squared norms, and every
+  // pair's distance from both the fast kernel path and the emulated
+  // tensor-core data path, equal the epilogue over hardware-RZ chains.
+  Rng rng(1717);
+  const std::size_t n = 40, dims = 37;
+  MatrixF32 data(n, dims);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t k = 0; k < dims; ++k) data.at(i, k) = adversarial_fp16(rng);
+  }
+  const PreparedDataset prep(data);
+  const MatrixF32& v = prep.values();
+  for (std::size_t i = 0; i < n; ++i) {
+    ASSERT_EQ(prep.norms()[i], hw::rz_dot(v.row(i), v.row(i), v.stride()))
+        << i;
+  }
+  FastedEngine engine;
+  for (const ExecutionPath path :
+       {ExecutionPath::kFast, ExecutionPath::kEmulated}) {
+    JoinOptions opts;
+    opts.path = path;
+    const auto out = engine.query_join(prep, prep, 1e18f, opts);
+    ASSERT_EQ(out.pair_count, n * n);
+    for (std::size_t i = 0; i < n; ++i) {
+      const auto row = out.result.matches_of(i);
+      ASSERT_EQ(row.size(), n);
+      for (const QueryMatch& m : row) {
+        const float ref = kernels::epilogue_dist2(
+            hw::rz_dot(v.row(i), v.row(m.id), v.stride()), prep.norms()[i],
+            prep.norms()[m.id]);
+        ASSERT_EQ(std::bit_cast<std::uint32_t>(ref),
+                  std::bit_cast<std::uint32_t>(m.dist2))
+            << (path == ExecutionPath::kFast ? "fast" : "emulated") << " "
+            << i << " x " << m.id;
+      }
+    }
+  }
+}
+
+TEST(RzDotKernels, HitMasksMatchScalarEpilogueLaneByLane) {
+  // dot_panel_hits: bit r of row qi is set iff r < width and
+  // epilogue_dist2 <= eps2, for every variant; diagonal tiles keep only
+  // lanes_above.  eps2 is sometimes exactly one lane's d2 (a hit).
+  Rng rng(3001);
+  const auto& kernels_list = kernels::KernelRegistry::global().supported();
+  for (int trial = 0; trial < 300; ++trial) {
+    const std::size_t dims = 1 + rng.next_u64() % 130;
+    const std::size_t width = 1 + rng.next_u64() % kPanelWidth;
+    const std::size_t nq = 1 + rng.next_u64() % kQueryBlock;
+    const auto corpus = fp16_exact_values(rng, width * dims, 2.0);
+    const auto queries = fp16_exact_values(rng, nq * dims, 2.0);
+    std::vector<float> panel(dims * kPanelWidth);
+    kernels::pack_panel(corpus.data(), dims, width, dims, panel.data());
+    // Exact-size norm arrays, so any read past `width` trips ASan.
+    std::vector<float> sq(nq), sc(width);
+    for (std::size_t qi = 0; qi < nq; ++qi) {
+      sq[qi] = kernels::rz_dot_pair(queries.data() + qi * dims,
+                                    queries.data() + qi * dims, dims);
+    }
+    for (std::size_t r = 0; r < width; ++r) {
+      sc[r] = kernels::rz_dot_pair(corpus.data() + r * dims,
+                                   corpus.data() + r * dims, dims);
+    }
+    std::vector<float> d2(nq * width);
+    for (std::size_t qi = 0; qi < nq; ++qi) {
+      for (std::size_t r = 0; r < width; ++r) {
+        d2[qi * width + r] = kernels::epilogue_dist2(
+            kernels::rz_dot_pair(queries.data() + qi * dims,
+                                 corpus.data() + r * dims, dims),
+            sq[qi], sc[r]);
+      }
+    }
+    // Half the trials put eps2 exactly on a lane's distance.
+    const float eps2 =
+        trial % 2 == 0
+            ? d2[rng.next_u64() % d2.size()]
+            : static_cast<float>(rng.uniform(0.0, 4.0 * static_cast<double>(dims)));
+    // A diagonal tile places the panel's first row at c0 relative to the
+    // block's first query row 0, so some lanes fall on or below i.
+    const std::size_t c0 = rng.next_u64() % (kQueryBlock + 2);
+
+    for (const kernels::RzDotKernel* kern : kernels_list) {
+      std::vector<float> acc(kQueryBlock * kPanelWidth, -1.0f);
+      std::vector<std::uint32_t> masks(kQueryBlock, 0xdeadbeef);
+      const kernels::PanelEpilogue ep{sq.data(), sc.data(), width, eps2};
+      kern->dot_panel_hits(queries.data(), dims, nq, panel.data(), dims, ep,
+                           acc.data(), masks.data());
+      for (std::size_t qi = 0; qi < nq; ++qi) {
+        std::uint32_t want = 0;
+        std::uint32_t want_diag = 0;
+        for (std::size_t r = 0; r < width; ++r) {
+          if (d2[qi * width + r] <= eps2) {
+            want |= 1u << r;
+            if (c0 + r > qi) want_diag |= 1u << r;
+          }
+        }
+        ASSERT_EQ(masks[qi], want)
+            << kern->name << " trial " << trial << " q " << qi << " width "
+            << width << " dims " << dims;
+        ASSERT_EQ(masks[qi] & kernels::lanes_above(qi, c0), want_diag)
+            << kern->name << " trial " << trial << " q " << qi << " c0 "
+            << c0;
+        ASSERT_EQ(masks[qi] >> width, 0u) << kern->name << " tail lanes set";
+        // The accumulators are dot_panel's, so hit distances can be read
+        // back exactly.
+        for (std::size_t r = 0; r < width; ++r) {
+          ASSERT_EQ(kernels::epilogue_dist2(acc[qi * kPanelWidth + r], sq[qi],
+                                            sc[r]),
+                    d2[qi * width + r]);
+        }
+      }
+      if (trial % 2 == 0) {
+        // The lane eps2 was taken from is a hit in every variant.
+        std::uint32_t any = 0;
+        for (std::size_t qi = 0; qi < nq; ++qi) any |= masks[qi];
+        ASSERT_NE(any, 0u) << kern->name;
+      }
+    }
+  }
+}
+
 TEST(RzDotKernels, PackPanelZeroFillsTailLanes) {
   const std::size_t dims = 5;
   std::vector<float> rows(3 * dims);
@@ -121,6 +314,9 @@ TEST(RzDotKernels, RegistryResolvesKnownVariantsOnly) {
   EXPECT_TRUE(best_found) << reg.best().name;
   EXPECT_EQ(reg.find("no-such-kernel"), nullptr);
   EXPECT_FALSE(kernels::KernelRegistry::known_name("no-such-kernel"));
+  // A retired variant stays a known selection but never resolves.
+  EXPECT_TRUE(kernels::KernelRegistry::known_name("avx512fp16"));
+  EXPECT_EQ(reg.find("avx512fp16"), nullptr);
   // Selection strings: names, "auto", and comma lists of them.
   EXPECT_TRUE(kernels::kernel_selection_known("auto"));
   EXPECT_TRUE(kernels::kernel_selection_known("scalar"));

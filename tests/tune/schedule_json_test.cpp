@@ -8,6 +8,10 @@
 #include <gtest/gtest.h>
 
 #include "common/check.hpp"
+#include "common/parallel.hpp"
+#include "core/fasted.hpp"
+#include "core/kernels/kernel_context.hpp"
+#include "data/generators.hpp"
 #include "tune/schedule_space.hpp"
 
 namespace fasted::tune {
@@ -66,6 +70,36 @@ TEST(ScheduleJson, RejectsMissingFieldsAndUnknownNames) {
   std::string bad_int = good;
   bad_int.replace(bad_int.find(": 128"), 5, ": lots");
   EXPECT_THROW(Schedule::from_json(bad_int), CheckError);
+}
+
+TEST(ScheduleJson, RetiredKernelNameLoadsAndFallsBackToDomainBest) {
+  // Schedules saved while the avx512fp16 variant existed still load; the
+  // retired name resolves like any unsupported one: each domain gets its
+  // own best kernel (after a one-time warning), and joins run unchanged.
+  std::string text = Schedule{}.json();
+  const std::size_t at = text.find("\"auto\"");
+  ASSERT_NE(at, std::string::npos) << text;
+  text.replace(at, 6, "\"avx512fp16\"");
+  const Schedule s = Schedule::from_json(text);
+  EXPECT_EQ(s.kernel, "avx512fp16");
+  const FastedConfig base = FastedConfig::paper_defaults();
+  EXPECT_TRUE(s.valid(base));
+
+  const FastedConfig cfg = s.apply(base);
+  const ThreadPool& pool = ThreadPool::global();
+  const auto ctx = kernels::KernelContext::resolve(cfg.rz_kernel, pool);
+  const kernels::KernelRegistry& reg = kernels::KernelRegistry::global();
+  for (std::size_t d = 0; d < pool.domain_count(); ++d) {
+    const kernels::RzDotKernel& want = reg.env_pin() != nullptr
+                                           ? *reg.env_pin()
+                                           : reg.best_for(pool.domain_features(d));
+    EXPECT_EQ(&ctx.kernel(d), &want) << d;
+  }
+  const auto data = data::uniform(200, 16, 5);
+  const auto retired = FastedEngine(cfg).self_join(data, 0.9f);
+  const auto defaults = FastedEngine(base).self_join(data, 0.9f);
+  EXPECT_EQ(retired.pair_count, defaults.pair_count);
+  EXPECT_EQ(retired.result.neighbors(), defaults.result.neighbors());
 }
 
 }  // namespace
