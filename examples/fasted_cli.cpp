@@ -45,7 +45,6 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "serve/batch_gateway.hpp"
-#include "service/corpus_session.hpp"
 #include "service/join_service.hpp"
 #include "service/sharded_corpus.hpp"
 #include "tune/autotuner.hpp"
@@ -250,9 +249,9 @@ void print_shard_table(service::ShardedCorpus& corpus,
   std::uint64_t total_pairs = 0;
   for (const std::uint64_t p : shard_pairs) total_pairs += p;
   std::printf("per-shard stats (skew view):\n");
-  std::printf("  %-6s %-10s %-8s %-6s %-7s %-6s %-6s %-7s %-14s %s\n",
-              "shard", "base", "rows", "dead", "state", "dom", "grids",
-              "calib", "pairs(last)", "share");
+  std::printf("  %-6s %-10s %-8s %-6s %-7s %-6s %-7s %-14s %s\n",
+              "shard", "base", "rows", "dead", "state", "dom", "calib",
+              "pairs(last)", "share");
   for (std::size_t s = 0; s < infos.size(); ++s) {
     const auto& info = infos[s];
     const std::uint64_t pairs =
@@ -264,11 +263,11 @@ void print_shard_table(service::ShardedCorpus& corpus,
             ? 100.0 * static_cast<double>(pairs) /
                   static_cast<double>(total_pairs)
             : 0.0;
-    std::printf("  %-6zu %-10zu %-8zu %-6zu %-7s %-6zu %-6zu %-7zu %-14llu "
+    std::printf("  %-6zu %-10zu %-8zu %-6zu %-7s %-6zu %-7zu %-14llu "
                 "%5.1f%%\n",
                 s, info.base, info.rows, info.dead,
                 info.sealed ? "sealed" : "open", info.domain,
-                info.grid_entries, info.calibration_blocks,
+                info.calibration_blocks,
                 static_cast<unsigned long long>(pairs), share);
   }
   const auto stats = corpus.stats();
@@ -374,7 +373,7 @@ int run_service_mode(const Args& args, const MatrixF32& points, float eps,
   if (!sharded && args.domains > 0) {
     std::fprintf(stderr,
                  "warning: --domains needs --shards (placement is "
-                 "per-shard); serving from a single session\n");
+                 "per-shard); serving from one shard\n");
   }
 
   // Incremental ingest plan: start with the first `initial` rows, append
@@ -392,23 +391,17 @@ int run_service_mode(const Args& args, const MatrixF32& points, float eps,
               eps);
 
   const auto ingest_start = Clock::now();
-  std::shared_ptr<service::ShardedCorpus> corpus;
-  std::shared_ptr<service::JoinService> svc;
+  service::ShardedCorpusOptions copts;
   if (sharded) {
-    service::ShardedCorpusOptions copts;
     // Capacity from the FULL corpus size so the append-driven session seals
     // shards at the same boundaries a bulk N-way split would.
     copts.shard_capacity = (n + args.shards - 1) / args.shards;
     copts.placement_domains = args.domains;
-    corpus = std::make_shared<service::ShardedCorpus>(
-        row_slice(points, 0, initial), copts);
-    svc = std::make_shared<service::JoinService>(
-        corpus, FastedEngine(base_config(args)));
-  } else {
-    svc = std::make_shared<service::JoinService>(
-        std::make_shared<service::CorpusSession>(MatrixF32(points)),
-        FastedEngine(base_config(args)));
   }
+  auto corpus = std::make_shared<service::ShardedCorpus>(
+      row_slice(points, 0, initial), copts);
+  auto svc = std::make_shared<service::JoinService>(
+      corpus, FastedEngine(base_config(args)));
   const double ingest_s =
       std::chrono::duration<double>(Clock::now() - ingest_start).count();
   std::printf("ingest: FP16 + norms prepared for %zu/%zu rows in %.3f s\n",
@@ -416,9 +409,9 @@ int run_service_mode(const Args& args, const MatrixF32& points, float eps,
 
   if (schedule != nullptr) {
     // Adopt the tuned (or loaded) schedule through the service's own swap
-    // path; the sharded backend is re-chunked to the tuned capacity
+    // path; with --shards the corpus is re-chunked to the tuned capacity
     // (results are bit-identical either way — only throughput changes).
-    svc->set_schedule(*schedule, /*rechunk_shards=*/true);
+    svc->set_schedule(*schedule, /*rechunk_shards=*/sharded);
     std::printf("serving with tuned schedule: %s\n",
                 svc->schedule().describe().c_str());
   }

@@ -2,7 +2,7 @@
 // the downstream applications motivating the paper (Sec. 1; Samet 2008).
 //
 // Strategy: all-points kNN is a kNN query batch whose query set equals the
-// corpus, served by service::JoinService over a corpus-resident session.
+// corpus, served by service::JoinService over a resident ShardedCorpus.
 // The service runs an adaptive-radius query join: start from an eps
 // calibrated so the mean neighborhood holds ~k * growth candidates, then
 // enlarge eps for the queries that came up short, brute-forcing the
@@ -40,21 +40,19 @@ struct KnnOptions {
   double initial_growth = 3.0;  // initial selectivity target = growth * k
   double radius_growth = 1.6;   // eps multiplier between rounds
   int max_rounds = 8;
-  // > 1 serves the corpus from a ShardedCorpus split this many ways; the
-  // results are bit-identical to the single-session default (the service's
-  // shard-count invariance), so this is a deployment knob, not a quality
-  // trade.
+  // Number of ways the resident ShardedCorpus is split.  Ids and distances
+  // are bit-identical for any count (the service's shard-count
+  // invariance), so this is a deployment knob, not a quality trade.
   std::size_t shards = 1;
-  // Shard -> execution-domain placement modulus for the sharded backend
-  // (0 = the global pool's detected domain count).  Like `shards`, purely a
-  // deployment knob: results are bit-identical for any value.
+  // Shard -> execution-domain placement modulus (0 = the global pool's
+  // detected domain count).  Like `shards`, purely a deployment knob:
+  // results are bit-identical for any value.
   std::size_t domains = 0;
   // Rows to tombstone before serving (global ids into `data`).  Dead rows
   // never appear as anyone's neighbor — each point's row holds its k
   // nearest SURVIVING points (dead points' own rows included: they stay
   // valid query locations, e.g. for "what replaced this outlier" lookups).
-  // Non-empty forces the ShardedCorpus backend, which owns the delete
-  // machinery; requires k < alive rows.
+  // Requires k < alive rows.
   std::vector<std::uint32_t> tombstones;
 };
 

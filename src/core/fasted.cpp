@@ -411,15 +411,6 @@ QueryJoinOutput FastedEngine::query_join(const MatrixF32& queries,
   return out;
 }
 
-std::uint64_t FastedEngine::query_join_into(const PreparedDataset& queries,
-                                            const PreparedDataset& corpus,
-                                            float eps,
-                                            kernels::ResultSink& sink) const {
-  const CorpusShardView whole{&corpus, 0};
-  return query_join_into(queries, std::span<const CorpusShardView>(&whole, 1),
-                         eps, sink);
-}
-
 std::uint64_t FastedEngine::query_join_into(
     const PreparedDataset& queries, std::span<const CorpusShardView> shards,
     float eps, kernels::ResultSink& sink) const {

@@ -123,8 +123,8 @@ class PreparedDataset {
 // whole logical corpus; shards must be contiguous in global row order
 // (shard k's base is the sum of the preceding shards' row counts).  Because
 // quantization, norms, and pair distances are all per-row, any shard
-// decomposition of a corpus produces results bit-identical to the 1-shard
-// session — the sharded entry points below rely on exactly that.
+// decomposition of a corpus produces results bit-identical to the undivided
+// corpus — the sharded entry points below rely on exactly that.
 struct CorpusShardView {
   const PreparedDataset* prepared = nullptr;
   std::size_t base = 0;
@@ -226,18 +226,11 @@ class FastedEngine {
                              float eps, const JoinOptions& options = {}) const;
 
   // Sink-directed query join: same kernels and numerics as query_join, but
-  // matches flow into `sink` instead of a batch-wide CSR (pass a
-  // kernels::StreamingSink for bounded-memory per-query delivery — each
-  // tile spans the full corpus so every query completes in one piece).
-  // Returns the number of matches emitted.
-  std::uint64_t query_join_into(const PreparedDataset& queries,
-                                const PreparedDataset& corpus, float eps,
-                                kernels::ResultSink& sink) const;
-
-  // Sharded sink-directed query join: one query_strip plan per shard (each
-  // tile spans its full shard, so a query completes in one tile per shard).
-  // Pair a multi-shard span with a kernels::MergingStreamingSink, which
-  // reassembles each query across shards before delivery.
+  // matches flow into `sink` instead of a batch-wide CSR.  One query_strip
+  // plan per shard: each tile spans its full shard, so a query completes in
+  // one tile per shard, and the per-tile sinks (kernels::StreamingSink,
+  // kernels::DemuxSink) reassemble each query across shards.  Returns the
+  // number of matches emitted.
   std::uint64_t query_join_into(const PreparedDataset& queries,
                                 std::span<const CorpusShardView> shards,
                                 float eps, kernels::ResultSink& sink) const;

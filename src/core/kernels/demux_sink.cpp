@@ -35,6 +35,8 @@ DemuxSink::DemuxSink(std::vector<DemuxRoute> routes, std::size_t num_shards)
 
 void DemuxSink::consume(const TileRange& range,
                         std::span<const PairHit> hits) {
+  FASTED_CHECK_MSG(range.shard < num_shards_,
+                   "tile shard out of range in demux sink");
   if (hits.empty()) return;
   // Group surviving hits by request before forwarding, so each request's CSR
   // sink sees one consume per tile (one stripe-lock round instead of one per

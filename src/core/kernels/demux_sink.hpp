@@ -20,7 +20,8 @@
 // tombstone drop tallies match what a standalone filtered drain would count.
 // Pair a DemuxSink with query_strip plans (query_join_into): per_tile()
 // delivery gives it the shard id of every tile, which is how the
-// per-request shard_pairs skew stats stay exact.
+// per-request shard_pairs skew stats stay exact.  A tile whose shard id is
+// not below `num_shards` is rejected with a CheckError.
 //
 // consume() is thread-safe (the executor calls it from pool workers); the
 // finalize/accessor methods are single-threaded post-drain.
@@ -53,7 +54,6 @@ class DemuxSink final : public ResultSink {
   DemuxSink(std::vector<DemuxRoute> routes, std::size_t num_shards);
 
   bool per_tile() const override { return true; }
-  bool merges_shards() const override { return true; }
   void consume(const TileRange& range, std::span<const PairHit> hits) override;
 
   std::size_t requests() const { return routes_.size(); }

@@ -5,6 +5,8 @@
 #include <bit>
 #include <cstdlib>
 #include <cstring>
+#include <exception>
+#include <mutex>
 #include <optional>
 
 #include "common/check.hpp"
@@ -89,11 +91,6 @@ std::uint64_t execute_join(const FastedConfig& cfg,
   }
   const bool collect = sink.wants_hits();
   const bool per_tile = collect && sink.per_tile();
-  if (per_tile) {
-    FASTED_CHECK_MSG(entries.size() == 1 || sink.merges_shards(),
-                     "multi-shard joins need a shard-merging per-tile sink "
-                     "(each query completes once per shard)");
-  }
   ThreadPool& pool = ThreadPool::global();
   // Confined dispatch (a DomainGuard on this thread, or a nested call from
   // inside a pool job) runs every body with the same home domain — treat
@@ -125,7 +122,7 @@ std::uint64_t execute_join(const FastedConfig& cfg,
         std::string("kernel.tiles.") + ctx.kernel(d).name);
   }
 
-  parallel_for(0, pool.size(), [&](std::size_t, std::size_t) {
+  const auto drain_worker = [&] {
     // Clamped so a confined (flat) drain from a non-zero-domain worker
     // still indexes the single entry list.
     const std::size_t home = ThreadPool::current_domain() % ndom;
@@ -289,7 +286,21 @@ std::uint64_t execute_join(const FastedConfig& cfg,
       }
     }
     total.fetch_add(worker_total, std::memory_order_relaxed);
+  };
+  // A sink that rejects a tile (a CheckError from consume) must not unwind
+  // a pool worker's thread entry: the first exception is kept and rethrown
+  // on the caller's thread once every worker has left the drain.
+  std::mutex failure_mutex;
+  std::exception_ptr failure;
+  parallel_for(0, pool.size(), [&](std::size_t, std::size_t) {
+    try {
+      drain_worker();
+    } catch (...) {
+      std::lock_guard<std::mutex> lock(failure_mutex);
+      if (failure == nullptr) failure = std::current_exception();
+    }
   });
+  if (failure != nullptr) std::rethrow_exception(failure);
 
   if (per_entry_hits != nullptr) {
     for (std::size_t ei = 0; ei < entries.size(); ++ei) {

@@ -78,7 +78,9 @@ struct ShardJoin {
 // kernel emissions: when the sink carries a tombstone filter it drops dead
 // rows' hits on its side, so callers subtract sink.dropped() to get the
 // surviving pair count (per-entry counts stay raw — they measure drain
-// work, which is what the skew/rebalance consumers want).
+// work, which is what the skew/rebalance consumers want).  If sink.consume
+// throws (a per-tile sink rejecting a tile it cannot place), the drain
+// finishes and the first exception is rethrown on the calling thread.
 // The primary overload threads the kernel context explicitly: each entry's
 // tiles run the kernel `ctx` resolved for the entry's OWNING domain (the
 // same modulo routing that places the entry), so heterogeneous-ISA domains

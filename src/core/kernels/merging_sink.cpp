@@ -9,11 +9,10 @@ namespace fasted::kernels {
 namespace {
 
 // Regroup one tile's hits (corpus-block-major, per-query ascending corpus
-// id) into a QueryStrip via a stable counting scatter — the same
-// canonicalization StreamingSink does, but into a worker-private strip so
-// no lock is needed.  A tombstone filter drops dead-corpus hits here,
-// before grouping, so delivered rows only ever hold surviving matches;
-// `dropped` receives the tally.
+// id) into a QueryStrip via a stable counting scatter, into a
+// worker-private strip so no lock is needed.  A tombstone filter drops
+// dead-corpus hits here, before grouping, so delivered rows only ever hold
+// surviving matches; `dropped` receives the tally.
 QueryStrip regroup(const TileRange& range, std::span<const PairHit> hits,
                    const TombstoneFilter* filter, std::uint64_t& dropped) {
   dropped = 0;
@@ -43,84 +42,91 @@ QueryStrip regroup(const TileRange& range, std::span<const PairHit> hits,
   return strip;
 }
 
+// Merge one strip's per-shard pieces in shard order: bases ascend and
+// per-shard rows already ascend per query, so each merged row comes out in
+// ascending global id.
+QueryStrip merge_shards(const std::vector<QueryStrip>& per_shard,
+                        std::size_t queries) {
+  QueryStrip ready;
+  ready.q0 = per_shard.front().q0;
+  ready.offsets.assign(queries + 1, 0);
+  std::size_t total = 0;
+  for (std::size_t q = 0; q < queries; ++q) {
+    for (const QueryStrip& shard : per_shard) {
+      total += shard.offsets[q + 1] - shard.offsets[q];
+    }
+    ready.offsets[q + 1] = total;
+  }
+  ready.matches.reserve(total);
+  for (std::size_t q = 0; q < queries; ++q) {
+    for (const QueryStrip& shard : per_shard) {
+      ready.matches.insert(ready.matches.end(),
+                           shard.matches.begin() + static_cast<std::ptrdiff_t>(
+                                                       shard.offsets[q]),
+                           shard.matches.begin() + static_cast<std::ptrdiff_t>(
+                                                       shard.offsets[q + 1]));
+    }
+  }
+  return ready;
+}
+
 }  // namespace
 
-StripDeliverer::StripDeliverer(QueryMatchCallback callback, StripDelivery mode,
-                               std::size_t ring_capacity)
-    : callback_(std::move(callback)), mode_(mode) {
-  FASTED_CHECK_MSG(callback_ != nullptr, "strip delivery needs a callback");
-  if (mode_ == StripDelivery::kRing) {
-    ring_ = std::make_unique<BoundedMpscRing<QueryStrip>>(ring_capacity);
-    consumer_ = std::thread([this] {
-      QueryStrip strip;
-      for (;;) {
-        if (ring_->try_pop(strip)) {
-          dispatch(strip);
-          continue;
-        }
-        if (done_.load(std::memory_order_acquire)) {
-          // Producers have stopped; drain whatever is left and exit.
-          while (ring_->try_pop(strip)) dispatch(strip);
-          return;
-        }
-        std::this_thread::yield();
-      }
-    });
+StreamingSink::StreamingSink(QueryMatchCallback callback,
+                             std::size_t num_shards,
+                             std::size_t ring_capacity)
+    : callback_(std::move(callback)),
+      num_shards_(num_shards),
+      ring_(ring_capacity) {
+  FASTED_CHECK_MSG(callback_ != nullptr, "streaming sink needs a callback");
+  FASTED_CHECK_MSG(num_shards_ >= 1, "streaming merge needs >= 1 shard");
+  consumer_ = std::thread([this] { drain(); });
+}
+
+StreamingSink::~StreamingSink() { stop(); }
+
+void StreamingSink::drain() {
+  QueryStrip strip;
+  for (;;) {
+    if (ring_.try_pop(strip)) {
+      dispatch(strip);
+      continue;
+    }
+    if (done_.load(std::memory_order_acquire)) {
+      // Producers have stopped; drain whatever is left and exit.
+      while (ring_.try_pop(strip)) dispatch(strip);
+      return;
+    }
+    std::this_thread::yield();
   }
 }
 
-StripDeliverer::~StripDeliverer() { finish(); }
-
-void StripDeliverer::dispatch(const QueryStrip& strip) {
-  const std::size_t nq = strip.offsets.size() - 1;
-  for (std::size_t q = 0; q < nq; ++q) {
-    callback_(strip.q0 + q,
-              std::span<const QueryMatch>(
-                  strip.matches.data() + strip.offsets[q],
-                  strip.offsets[q + 1] - strip.offsets[q]));
+void StreamingSink::dispatch(const QueryStrip& strip) {
+  // After the callback has thrown, strips are still popped (so producers
+  // never block on a full ring) but no longer delivered.
+  if (error_ != nullptr) return;
+  try {
+    const std::size_t nq = strip.offsets.size() - 1;
+    for (std::size_t q = 0; q < nq; ++q) {
+      callback_(strip.q0 + q,
+                std::span<const QueryMatch>(
+                    strip.matches.data() + strip.offsets[q],
+                    strip.offsets[q + 1] - strip.offsets[q]));
+    }
+  } catch (...) {
+    error_ = std::current_exception();
   }
 }
 
-void StripDeliverer::deliver(QueryStrip&& strip) {
-  if (mode_ == StripDelivery::kRing) {
-    // Blocks while the ring is full: backpressure against a slow consumer.
-    ring_->push(std::move(strip));
-  } else {
-    std::lock_guard<std::mutex> lock(mutex_);
-    dispatch(strip);
-  }
-}
-
-void StripDeliverer::finish() {
+void StreamingSink::stop() {
   if (consumer_.joinable()) {
     done_.store(true, std::memory_order_release);
     consumer_.join();
   }
 }
 
-RingStreamingSink::RingStreamingSink(QueryMatchCallback callback,
-                                     std::size_t ring_capacity)
-    : deliverer_(std::move(callback), StripDelivery::kRing, ring_capacity) {}
-
-void RingStreamingSink::consume(const TileRange& range,
-                                std::span<const PairHit> hits) {
-  std::uint64_t drops = 0;
-  QueryStrip strip = regroup(range, hits, filter_, drops);
-  note_dropped(drops);
-  deliverer_.deliver(std::move(strip));
-}
-
-MergingStreamingSink::MergingStreamingSink(QueryMatchCallback callback,
-                                           std::size_t num_shards,
-                                           StripDelivery delivery,
-                                           std::size_t ring_capacity)
-    : num_shards_(num_shards),
-      deliverer_(std::move(callback), delivery, ring_capacity) {
-  FASTED_CHECK_MSG(num_shards_ >= 1, "streaming merge needs >= 1 shard");
-}
-
-void MergingStreamingSink::consume(const TileRange& range,
-                                   std::span<const PairHit> hits) {
+void StreamingSink::consume(const TileRange& range,
+                            std::span<const PairHit> hits) {
   FASTED_CHECK_MSG(range.shard < num_shards_,
                    "tile shard out of range in streaming merge");
   // Regroup worker-privately (no lock), splice the grouped strip in under
@@ -129,8 +135,12 @@ void MergingStreamingSink::consume(const TileRange& range,
   std::uint64_t drops = 0;
   QueryStrip grouped = regroup(range, hits, filter_, drops);
   note_dropped(drops);
+  if (num_shards_ == 1) {
+    // Blocks while the ring is full: backpressure against a slow callback.
+    ring_.push(std::move(grouped));
+    return;
+  }
   PendingStrip done;
-  bool complete = false;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     PendingStrip& strip = pending_[range.q0];
@@ -143,47 +153,20 @@ void MergingStreamingSink::consume(const TileRange& range,
     FASTED_CHECK_MSG(strip.per_shard[range.shard].offsets.empty(),
                      "shard delivered the same query strip twice");
     strip.per_shard[range.shard] = std::move(grouped);
-    if (++strip.arrived == num_shards_) {
-      done = std::move(strip);
-      pending_.erase(range.q0);
-      complete = true;
-    }
+    if (++strip.arrived != num_shards_) return;
+    done = std::move(strip);
+    pending_.erase(range.q0);
   }
-  if (!complete) return;
-
-  // Merge in shard order: bases ascend and per-shard rows already ascend
-  // per query, so each merged row comes out in ascending global id.
-  QueryStrip ready;
-  ready.q0 = done.per_shard.front().q0;
-  ready.offsets.assign(done.queries + 1, 0);
-  std::size_t total = 0;
-  for (std::size_t q = 0; q < done.queries; ++q) {
-    for (const QueryStrip& shard : done.per_shard) {
-      total += shard.offsets[q + 1] - shard.offsets[q];
-    }
-    ready.offsets[q + 1] = total;
-  }
-  ready.matches.reserve(total);
-  for (std::size_t q = 0; q < done.queries; ++q) {
-    for (const QueryStrip& shard : done.per_shard) {
-      ready.matches.insert(ready.matches.end(),
-                           shard.matches.begin() + static_cast<std::ptrdiff_t>(
-                                                       shard.offsets[q]),
-                           shard.matches.begin() + static_cast<std::ptrdiff_t>(
-                                                       shard.offsets[q + 1]));
-    }
-  }
-  deliverer_.deliver(std::move(ready));
+  ring_.push(merge_shards(done.per_shard, done.queries));
 }
 
-void MergingStreamingSink::finish() {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    FASTED_CHECK_MSG(pending_.empty(),
-                     "streaming merge finished with incomplete strips — did "
-                     "every shard run a query_strip plan?");
-  }
-  deliverer_.finish();
+void StreamingSink::finish() {
+  stop();
+  if (error_ != nullptr) std::rethrow_exception(std::exchange(error_, nullptr));
+  std::lock_guard<std::mutex> lock(mutex_);
+  FASTED_CHECK_MSG(pending_.empty(),
+                   "streaming merge finished with incomplete strips — did "
+                   "every shard run a query_strip plan?");
 }
 
 }  // namespace fasted::kernels

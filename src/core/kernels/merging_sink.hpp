@@ -1,5 +1,5 @@
-// The merging-sink family: result consumers for sharded joins, plus the
-// ring-buffered streaming delivery that replaces mutex-per-strip callbacks.
+// The merging-sink family: result consumers for sharded joins, and the one
+// streaming sink that delivers per-query callbacks.
 //
 // A sharded join runs one plan per shard (see join_executor.hpp) and emits
 // hits with GLOBAL row ids, so merging is mostly a property of the sink:
@@ -15,40 +15,38 @@
 //                    global strict upper triangle, and the sink's mirror
 //                    mode reflects it across shard boundaries like any other
 //                    pair.
-//   streaming-merge  MergingStreamingSink (below): a query's matches arrive
-//                    in one tile per shard; the sink holds a strip until all
-//                    shards have reported it, then delivers each query's
-//                    merged matches (ascending global corpus id) exactly
-//                    once.
+//   streaming-merge  StreamingSink (below): a query's matches arrive in one
+//                    tile per shard; the sink holds a strip until all shards
+//                    have reported it, then delivers each query's merged
+//                    matches (ascending global corpus id) exactly once.  One
+//                    shard is the degenerate case: each strip is complete
+//                    on arrival.
+//   demux-merge      DemuxSink (demux_sink.hpp): coalesced requests, split
+//                    back per request.
 //
-// Streaming delivery itself comes in two flavors, shared by the streaming
-// sinks via StripDeliverer:
-//
-//   kRing   (default) completed strips go through a bounded MPSC ring to a
-//           dedicated consumer thread that runs the callback.  Workers only
-//           block when the ring is full — bounded memory, and a slow
-//           consumer no longer throttles the kernel one mutex hold at a
-//           time.
-//   kMutex  the legacy fallback: the callback runs inline on the worker
-//           under a mutex (zero extra threads; kernel throughput couples to
-//           callback latency).
+// Completed strips go through a bounded MPSC ring (mpsc_ring.hpp) to a
+// dedicated consumer thread that runs the callback.  Workers only block
+// when the ring is full — bounded memory, and a slow callback backpressures
+// the join instead of throttling the kernel one mutex hold at a time.
 //
 // Tombstone filtering (ResultSink::filter_tombstones) happens in the
 // per-tile regroup, BEFORE strips are assembled or merged: delivered rows
 // only ever hold surviving matches, and dropped() tallies the dead ones
 // for the caller's pair-count correction.
 //
-// Either way the callback contract matches kernels::QueryMatchCallback:
-// once per query, ascending query order within a strip, strips in any
-// order, span valid only for the duration of the call.  The callback must
-// not issue further joins or other ThreadPool-using calls: in kMutex mode
-// that re-enters the pool's fork-join; in kRing mode it can deadlock
-// against the producers it is backpressuring.
+// The callback contract is kernels::QueryMatchCallback: once per query,
+// ascending query order within a strip, strips in any order, span valid
+// only for the duration of the call.  The callback must not issue further
+// joins or other ThreadPool-using calls: it can deadlock against the
+// producers it is backpressuring.  If it throws, the consumer stops calling
+// it but keeps draining the ring (so producers never block on a full
+// ring), and finish() rethrows the first exception on the caller's thread.
 
 #pragma once
 
+#include <atomic>
 #include <cstddef>
-#include <memory>
+#include <exception>
 #include <mutex>
 #include <span>
 #include <thread>
@@ -68,83 +66,35 @@ struct QueryStrip {
   std::vector<QueryMatch> matches;
 };
 
-enum class StripDelivery {
-  kRing,   // bounded MPSC ring + dedicated consumer thread (default)
-  kMutex,  // legacy: callback inline on the worker, serialized by a mutex
-};
-
 inline constexpr std::size_t kDefaultStripRingCapacity = 64;
 
-// Fans completed strips out to the user callback, by either delivery mode.
-// deliver() is thread-safe; finish() must be called (or the destructor run)
-// after the join returns and before the callback results are relied upon —
-// it drains the ring and joins the consumer thread.  Reusable only after
-// finish() has NOT been called; one join per deliverer.
-class StripDeliverer {
- public:
-  StripDeliverer(QueryMatchCallback callback, StripDelivery mode,
-                 std::size_t ring_capacity = kDefaultStripRingCapacity);
-  ~StripDeliverer();
-
-  StripDeliverer(const StripDeliverer&) = delete;
-  StripDeliverer& operator=(const StripDeliverer&) = delete;
-
-  void deliver(QueryStrip&& strip);
-
-  // Drains outstanding strips and joins the consumer thread (idempotent).
-  // After finish() returns, every delivered strip's callbacks have run.
-  void finish();
-
- private:
-  void dispatch(const QueryStrip& strip);
-
-  QueryMatchCallback callback_;
-  StripDelivery mode_;
-  std::mutex mutex_;  // kMutex mode: serializes callback invocations
-  std::unique_ptr<BoundedMpscRing<QueryStrip>> ring_;
-  std::thread consumer_;
-  std::atomic<bool> done_{false};
-};
-
-// Drop-in replacement for StreamingSink with ring-buffered delivery: each
-// tile (one full-corpus-width query strip) is regrouped by the worker into
-// a QueryStrip with no shared state, then handed to the deliverer.  Call
-// finish() after the join returns — the join's hit count is complete when
-// execute_join returns, but callbacks may still be in flight until then.
-class RingStreamingSink final : public ResultSink {
- public:
-  explicit RingStreamingSink(
-      QueryMatchCallback callback,
-      std::size_t ring_capacity = kDefaultStripRingCapacity);
-
-  bool per_tile() const override { return true; }
-  void consume(const TileRange& range, std::span<const PairHit> hits) override;
-
-  void finish() { deliverer_.finish(); }
-
- private:
-  StripDeliverer deliverer_;
-};
-
-// Streaming-merge sink for sharded corpora: every shard's query_strip plan
+// Streaming sink over 1..N corpus shards: every shard's query_strip plan
 // produces one tile per strip of queries, so a strip is complete once all
 // `num_shards` tiles with the same global q0 have arrived.  Completed
 // strips are merged in shard order — shard bases ascend, and hits within a
 // shard tile already ascend per query, so the merged row is in ascending
-// global corpus id, bit-identical to the 1-shard streaming order.  All
-// shard plans must share the same strip height (they do: it is the
-// config's block_tile_m).  Call finish() after the join returns.
-class MergingStreamingSink final : public ResultSink {
+// global corpus id.  All shard plans must share the same strip height
+// (they do: it is the config's block_tile_m).
+//
+// Call finish() after the join returns: the join's hit count is complete
+// when execute_join returns, but callbacks may still be in flight until
+// then.  One join per sink.  The destructor stops the consumer without
+// throwing (it is the cleanup path when the join itself threw).
+class StreamingSink final : public ResultSink {
  public:
-  MergingStreamingSink(QueryMatchCallback callback, std::size_t num_shards,
-                       StripDelivery delivery = StripDelivery::kRing,
-                       std::size_t ring_capacity = kDefaultStripRingCapacity);
+  StreamingSink(QueryMatchCallback callback, std::size_t num_shards,
+                std::size_t ring_capacity = kDefaultStripRingCapacity);
+  ~StreamingSink() override;
+
+  StreamingSink(const StreamingSink&) = delete;
+  StreamingSink& operator=(const StreamingSink&) = delete;
 
   bool per_tile() const override { return true; }
-  bool merges_shards() const override { return true; }
   void consume(const TileRange& range, std::span<const PairHit> hits) override;
 
-  // Checks that no strip is left partially assembled, then drains delivery.
+  // Drains the ring and joins the consumer thread; after it returns every
+  // completed strip's callbacks have run.  Rethrows the first exception the
+  // callback threw, then checks that no strip is left partially assembled.
   void finish();
 
  private:
@@ -155,10 +105,19 @@ class MergingStreamingSink final : public ResultSink {
     std::vector<QueryStrip> per_shard;
   };
 
+  void drain();  // the consumer thread's loop
+  void dispatch(const QueryStrip& strip);
+  void stop();   // signals the consumer and joins it (idempotent)
+
+  QueryMatchCallback callback_;
   std::size_t num_shards_;
   std::mutex mutex_;  // guards pending_
   std::unordered_map<std::size_t, PendingStrip> pending_;  // keyed by q0
-  StripDeliverer deliverer_;
+  BoundedMpscRing<QueryStrip> ring_;
+  std::atomic<bool> done_{false};
+  // Written only by the consumer thread; read after it is joined.
+  std::exception_ptr error_;
+  std::thread consumer_;  // last: starts once the members above exist
 };
 
 }  // namespace fasted::kernels

@@ -162,38 +162,4 @@ QueryJoinResult QueryJoinCsrSink::finalize() {
   return QueryJoinResult::from_rows(std::move(rows_));
 }
 
-StreamingSink::StreamingSink(QueryMatchCallback callback)
-    : callback_(std::move(callback)) {
-  FASTED_CHECK_MSG(callback_ != nullptr, "streaming sink needs a callback");
-}
-
-void StreamingSink::consume(const TileRange& range,
-                            std::span<const PairHit> hits) {
-  // Requires a full-corpus-width plan (query_strip): the tile holds every
-  // match of queries [q0, q1), so each query is delivered complete exactly
-  // once.  Hits arrive corpus-block-major; a stable counting scatter
-  // regroups them per query, preserving ascending corpus ids.
-  if (filtered()) {
-    std::uint64_t drops = 0;
-    hits = compact_live(hits, [&](const PairHit& h) { return keep(h); },
-                        drops);
-    note_dropped(drops);
-  }
-  std::lock_guard<std::mutex> lock(mutex_);
-  const std::size_t nq = range.q1 - range.q0;
-  offsets_.assign(nq + 1, 0);
-  for (const PairHit& h : hits) ++offsets_[h.query - range.q0 + 1];
-  for (std::size_t q = 1; q <= nq; ++q) offsets_[q] += offsets_[q - 1];
-  fill_.assign(offsets_.begin(), offsets_.end() - 1);
-  scratch_.resize(hits.size());
-  for (const PairHit& h : hits) {
-    scratch_[fill_[h.query - range.q0]++] = QueryMatch{h.corpus, h.dist2};
-  }
-  for (std::size_t q = 0; q < nq; ++q) {
-    callback_(range.q0 + q,
-              std::span<const QueryMatch>(scratch_.data() + offsets_[q],
-                                          offsets_[q + 1] - offsets_[q]));
-  }
-}
-
 }  // namespace fasted::kernels

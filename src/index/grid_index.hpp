@@ -29,8 +29,7 @@ class GridIndex {
   void candidates_of(std::size_t i, std::vector<std::uint32_t>& out) const;
 
   // Same, for an external query point (a row of at least indexed_dims()
-  // coordinates that need not belong to the indexed data) — the lookup a
-  // corpus-resident session uses for incoming query batches.
+  // coordinates that need not belong to the indexed data).
   void candidates_of(const float* query, std::vector<std::uint32_t>& out) const;
 
   std::size_t non_empty_cells() const { return cells_.size(); }

@@ -52,8 +52,7 @@ BatchGateway::BatchGateway(std::shared_ptr<service::JoinService> service,
   FASTED_CHECK_MSG(service_ != nullptr, "BatchGateway needs a JoinService");
   FASTED_CHECK_MSG(options_.window_max_requests >= 1,
                    "window must admit at least one request");
-  corpus_dims_ = service_->is_sharded() ? service_->sharded().dims()
-                                        : service_->session().dims();
+  corpus_dims_ = service_->sharded().dims();
   if (options_.start) start();
 }
 

@@ -1,21 +1,19 @@
-// Query-join front end over a corpus-resident session.
+// Query-join front end over a resident ShardedCorpus.
 //
 // Accepts request batches and runs them through the asymmetric query-tile x
 // corpus-tile kernels, decomposed into block-tile work items drained from
-// the WorkQueue on the shared ThreadPool.  The service serves either
-// backend:
-//
-//   CorpusSession   one immutable prepared corpus (the PR 2 reference path)
-//   ShardedCorpus   N shards, one JoinPlan per shard composed into a single
-//                   drain, results merged by global row id (bit-identical
-//                   to the 1-shard session for any shard count) — and the
-//                   corpus may grow via append() between requests.
+// the WorkQueue on the shared ThreadPool.  The corpus is N shards (N = 1
+// for an undivided corpus): one JoinPlan per shard composed into a single
+// drain, results merged by global row id — bit-identical to an
+// engine-direct query_join on the undivided corpus for any shard count —
+// and the corpus may grow, shrink and re-chunk between requests
+// (sharded_corpus.hpp).
 //
 // Two request shapes:
 //
 //   EpsQuery   all corpus rows within a radius, per query.  The radius can
 //              be given directly or calibrated from a selectivity target
-//              via the backend's calibration cache.  Results arrive as a
+//              via the corpus's calibration cache.  Results arrive as a
 //              CSR QueryJoinResult or stream through a per-query callback.
 //   KnnQuery   the k nearest corpus rows, per query, under the FP16-32
 //              pipeline distance.  Implemented as an adaptive-radius eps
@@ -38,37 +36,21 @@
 #include "common/matrix.hpp"
 #include "core/fasted.hpp"
 #include "obs/histogram.hpp"
-#include "service/corpus_session.hpp"
 #include "service/sharded_corpus.hpp"
 #include "tune/schedule.hpp"
 
 namespace fasted::service {
 
-// How streaming eps-join matches travel from the join workers to the user
-// callback (see kernels/merging_sink.hpp for the mechanics).
-enum class StreamDelivery {
-  // Bounded MPSC ring to a dedicated consumer thread: workers only stall
-  // when the ring is full, so a slow callback backpressures instead of
-  // throttling the kernel one mutex hold at a time.  The callback runs on
-  // that consumer thread.
-  kRing,
-  // Legacy fallback: the callback runs inline on pool workers under a
-  // mutex.
-  kMutex,
-};
-
 struct EpsQuery {
   MatrixF32 points;
   // Search radius; negative means "calibrate from `selectivity`" using the
-  // backend's cached corpus calibration.
+  // corpus's cached calibration.
   float eps = -1.0f;
   double selectivity = 64.0;
   // Honored by the batched eps_join.  The streaming overload always runs
   // the fast kernel (bit-identical to the emulated data path), so `path`
   // does not change its matches.
   ExecutionPath path = ExecutionPath::kFast;
-  // Streaming overload only.
-  StreamDelivery delivery = StreamDelivery::kRing;
 };
 
 struct KnnQuery {
@@ -154,11 +136,10 @@ struct ServiceStats {
 
 // Called once per query (in ascending query order within a work item; work
 // items complete in any order).  The span is only valid for the duration of
-// the call.  With StreamDelivery::kMutex the callback executes on
-// ThreadPool workers inside the join's fork-join job; with kRing it runs on
-// the sink's consumer thread while the join is still in flight.  Either
-// way it must not issue further joins or other pool-using calls (that
-// re-enters or deadlocks against the pool); buffer and defer instead.
+// the call.  It runs on the streaming sink's consumer thread while the join
+// is still in flight, so it must not issue further joins or other
+// pool-using calls (that deadlocks against the pool); buffer and defer
+// instead.
 using EpsMatchCallback = kernels::QueryMatchCallback;
 
 // Requests may be issued from any number of threads: they are admitted one
@@ -169,19 +150,19 @@ using EpsMatchCallback = kernels::QueryMatchCallback;
 // queries behind it.
 class JoinService {
  public:
-  explicit JoinService(std::shared_ptr<CorpusSession> session,
-                       FastedEngine engine = FastedEngine());
   explicit JoinService(std::shared_ptr<ShardedCorpus> corpus,
                        FastedEngine engine = FastedEngine());
 
-  // Batched eps join: the full CSR result set.  Over a sharded backend the
-  // output's shard_pairs carries each shard's hit count.
+  // Batched eps join: the full CSR result set.  The output's shard_pairs
+  // carries each shard's hit count.
   QueryJoinOutput eps_join(const EpsQuery& request);
 
   // Streaming eps join: per-query matches are handed to `callback` as the
   // query strips complete, without materializing the batch-wide CSR; the
   // returned output carries counts, perf, and timing but an empty result.
-  // All callbacks have completed by the time this returns.
+  // All callbacks have completed by the time this returns.  If the
+  // callback throws, it is not called again for this request and the first
+  // exception is rethrown here once the join has drained.
   QueryJoinOutput eps_join(const EpsQuery& request,
                            const EpsMatchCallback& callback);
 
@@ -193,8 +174,8 @@ class JoinService {
   // eps_join(requests[i]) (the tile kernels compute distances independent
   // of eps and preparation is per-row — see demux_sink.hpp), but the corpus
   // traversal is paid once per window instead of once per request.  Radii
-  // are resolved (calibration) before admission, like eps_join; `path` and
-  // `delivery` are ignored (the fast kernel is bit-identical to emulated).
+  // are resolved (calibration) before admission, like eps_join; `path` is
+  // ignored (the fast kernel is bit-identical to emulated).
   // host_seconds on every output is the shared window drain's wall time.
   std::vector<QueryJoinOutput> eps_join_coalesced(
       std::span<const EpsQuery> requests);
@@ -204,8 +185,8 @@ class JoinService {
   KnnBatchResult knn(const KnnQuery& request, const KnnOptions& options = {});
 
   // All-points kNN over the resident corpus itself (query set == corpus):
-  // reuses the backend's prepared rows — no copy, no re-quantization (a
-  // sharded corpus serves its shards as successive query batches).
+  // reuses the shards' prepared rows as successive query batches — no
+  // copy, no re-quantization.
   // Tombstoned rows still get a result row (they remain valid query
   // points) but are never returned as anyone's neighbor — including their
   // own: a dead row's self-match is filtered like any other dead match.
@@ -216,9 +197,9 @@ class JoinService {
   // schedule is pure execution policy, so results before and after are
   // bit-identical; only throughput and latency change.  Waits for the
   // serve slot: in-flight requests finish on the old schedule, later ones
-  // run the new one.  With `rechunk_shards`, a sharded backend is also
-  // compacted to the schedule's shard capacity (tombstones are left in
-  // place — ids never shift under a re-tune).
+  // run the new one.  With `rechunk_shards`, the corpus is also compacted
+  // to the schedule's shard capacity (tombstones are left in place — ids
+  // never shift under a re-tune).
   void set_schedule(const tune::Schedule& schedule,
                     bool rechunk_shards = false);
   // The schedule currently serving (the engine-config defaults until
@@ -233,19 +214,17 @@ class JoinService {
   // an explicit operator action (the CLI's --autotune).
   void enable_regime_retune(bool on = true, double factor = 4.0);
 
-  bool is_sharded() const { return shards_ != nullptr; }
-  CorpusSession& session();   // session-backed services only
-  ShardedCorpus& sharded();   // shard-backed services only
+  ShardedCorpus& sharded() { return *shards_; }
   const FastedEngine& engine() const { return engine_; }
   ServiceStats stats() const;
   // stats().json() — the CLI's --stats-json payload.
   std::string stats_json() const { return stats().json(); }
 
  private:
-  // A request's pinned view of the corpus: the snapshot keeps sharded
-  // backends' shards alive for the request's duration, and `filter` carries
-  // its tombstone masks (borrowed from the snapshot) so every join of the
-  // request filters the exact row set the snapshot was taken with.
+  // A request's pinned view of the corpus: the snapshot keeps the shards
+  // alive for the request's duration, and `filter` carries its tombstone
+  // masks (borrowed from the snapshot) so every join of the request filters
+  // the exact row set the snapshot was taken with.
   struct CorpusRef {
     std::shared_ptr<const ShardedCorpus::Snapshot> snap;
     std::vector<CorpusShardView> views;
@@ -254,7 +233,6 @@ class JoinService {
     std::size_t alive = 0;  // rows a query can actually match
   };
   CorpusRef corpus_ref() const;
-  std::size_t corpus_dims() const;
   float resolve_eps(const EpsQuery& request);
   // First adaptive-radius eps for a kNN request (resolved before admission
   // so cold calibration does not hold the serve slot).
@@ -274,7 +252,6 @@ class JoinService {
   // holds the serve slot; `rows` is the request's pinned corpus size.
   void maybe_retune(std::size_t rows);
 
-  std::shared_ptr<CorpusSession> session_;
   std::shared_ptr<ShardedCorpus> shards_;
   FastedEngine engine_;
   // The engine config as constructed, BEFORE any schedule was applied —

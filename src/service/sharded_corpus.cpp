@@ -224,70 +224,6 @@ const PreparedDataset& ShardedCorpus::prepared(std::size_t shard) const {
   return (*snap)[shard].shard->prepared;
 }
 
-const index::GridIndex& ShardedCorpus::grid_on(const Shard& shard, float eps) {
-  {
-    std::lock_guard<std::mutex> lock(shard.cache_mutex);
-    const auto it = shard.grids.find(eps);
-    if (it != shard.grids.end()) return *it->second;
-  }
-  // Build outside the lock; emplace keeps the first build if another
-  // thread raced us here (same discipline as CorpusSession::grid_at).  The
-  // build runs on the shard's owning domain so the grid's cell lists are
-  // first-touched next to the points they index (flat pools build inline).
-  std::unique_ptr<index::GridIndex> grid;
-  ThreadPool& pool = ThreadPool::global();
-  if (pool.domain_count() > 1) {
-    pool.run_on_domain(shard.domain, 0, 1, [&](std::size_t, std::size_t) {
-      grid = std::make_unique<index::GridIndex>(shard.points, eps);
-    });
-  } else {
-    grid = std::make_unique<index::GridIndex>(shard.points, eps);
-  }
-  bool inserted;
-  const index::GridIndex* out;
-  {
-    std::lock_guard<std::mutex> lock(shard.cache_mutex);
-    const auto [it, fresh] = shard.grids.emplace(eps, std::move(grid));
-    inserted = fresh;
-    out = it->second.get();
-  }
-  if (inserted) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++stats_.grids_built;
-  }
-  return *out;
-}
-
-const index::GridIndex& ShardedCorpus::grid_at(std::size_t shard, float eps) {
-  const auto snap = snapshot();
-  FASTED_CHECK_MSG(shard < snap->size(), "shard index out of range");
-  return grid_on(*(*snap)[shard].shard, eps);
-}
-
-void ShardedCorpus::grid_candidates(const float* query, float eps,
-                                    std::vector<std::uint32_t>& out) {
-  const auto snap = snapshot();
-  for (const ShardSlot& slot : *snap) {
-    const std::size_t before = out.size();
-    grid_on(*slot.shard, eps).candidates_of(query, out);
-    // Tombstoned rows are not candidates: filter on the snapshot's mask
-    // while ids are still shard-local, then lift to global ids.
-    if (slot.dead != nullptr) {
-      const auto& mask = *slot.dead;
-      std::size_t w = before;
-      for (std::size_t i = before; i < out.size(); ++i) {
-        if (!mask_bit(mask, out[i])) out[w++] = out[i];
-      }
-      out.resize(w);
-    }
-    if (slot.shard->base != 0) {
-      for (std::size_t i = before; i < out.size(); ++i) {
-        out[i] += static_cast<std::uint32_t>(slot.shard->base);
-      }
-    }
-  }
-}
-
 std::shared_ptr<const std::vector<double>> ShardedCorpus::block_of(
     const Shard& s, const Shard& t) {
   {
@@ -458,7 +394,7 @@ void ShardedCorpus::append(const MatrixF32& rows) {
 
     // Rebuild (or open) the newest shard with the extra rows.  Sealed
     // shards are untouched: their Shard objects — and therefore their
-    // prepared data, grids, and calibration blocks — carry over by pointer.
+    // prepared data and calibration blocks — carry over by pointer.
     // Both copies run inside the build closure, on the owning domain.
     if (extend) ++rebuilds;
     const bool seal = have + take == cap;
@@ -670,8 +606,7 @@ bool ShardedCorpus::migrate_in(Snapshot& next, std::size_t ordinal,
   // The append rebuild path pointed at a different domain: rows, base,
   // seal state, and GENERATION are preserved (same logical build, new
   // pages), so every calibration block keyed on this shard stays valid;
-  // its own block cache is carried across.  Grids are dropped — they
-  // rebuild lazily with their cell lists first-touched on the new domain.
+  // its own block cache is carried across.
   auto moved = build_shard(
       [&] {
         MatrixF32 pts(old->rows(), dims_);
@@ -785,7 +720,6 @@ std::vector<ShardInfo> ShardedCorpus::shard_infos() const {
     info.domain = shard.domain;
     {
       std::lock_guard<std::mutex> lock(shard.cache_mutex);
-      info.grid_entries = shard.grids.size();
       info.calibration_blocks = shard.calib_blocks.size();
     }
     infos.push_back(info);

@@ -1,17 +1,19 @@
-// A sharded, mutable corpus for long-lived serving sessions.
+// The resident corpus of a serving session: sharded and mutable.
 //
-// CorpusSession (corpus_session.hpp) owns one immutable corpus; a
-// production service cannot re-ingest everything per update nor serve one
-// monolithic session forever.  ShardedCorpus splits the logical corpus into
-// N contiguous shards, each owning exactly the per-corpus artifacts a
-// session caches — original rows, PreparedDataset (FP16 + RZ norms), lazy
-// grid indexes, and a calibration sample — and makes the corpus mutable:
+// Production query traffic joins a stream of query batches against the
+// same corpus, so the per-corpus work — FP16 quantization, squared-norm
+// precompute (Step 1), selectivity calibration — is paid once at ingest and
+// amortized across every request.  A service also cannot re-ingest
+// everything per update.  ShardedCorpus splits the logical corpus into N
+// contiguous shards (N = 1 for an undivided corpus), each owning its
+// original rows, PreparedDataset (FP16 + RZ norms) and a calibration
+// sample, and makes the corpus mutable:
 //
 //   append(rows)  ingests into the newest shard.  Only that shard is
 //                 re-prepared; once a shard reaches `shard_capacity` rows it
 //                 SEALS (its artifacts are immutable from then on) and the
-//                 next append opens a fresh shard.  Sealed shards' grid and
-//                 calibration caches survive every append untouched.
+//                 next append opens a fresh shard.  Sealed shards'
+//                 calibration blocks survive every append untouched.
 //
 // Readers never block on growth: the shard list is copy-on-write.  Each
 // query takes a snapshot (a shared_ptr'd vector of shared_ptr'd shards) and
@@ -24,8 +26,9 @@
 // + local row, and every per-row artifact (FP16 quantization, RZ norm,
 // pairwise pipeline distance) depends only on the row itself — so any shard
 // count, and any append history producing the same global row order, yields
-// eps-join/knn results bit-identical to the 1-shard session (the engine's
-// sharded entry points and merging sinks preserve this end to end).
+// eps-join/knn results bit-identical to an engine-direct join on the
+// undivided corpus (the engine's sharded entry points and merging sinks
+// preserve this end to end).
 //
 // Shards are also the unit of PLACEMENT (common/topology.hpp): each shard
 // is assigned an execution domain round-robin by ordinal, its artifacts are
@@ -57,8 +60,8 @@
 //                 and physically drops tombstoned rows from shards whose
 //                 dead fraction passes a threshold (renumbering survivors
 //                 in order).  Chunks that come out identical to an existing
-//                 shard are reused by POINTER — their grids and calibration
-//                 blocks survive exactly like sealed shards across appends;
+//                 shard are reused by POINTER — their calibration blocks
+//                 survive exactly like sealed shards across appends;
 //                 only touched chunks rebuild, through the same
 //                 build-on-owning-domain path appends use.
 //   rebalance()   domain migration as policy: diffs the pool's per-domain
@@ -86,7 +89,6 @@
 #include "common/parallel.hpp"
 #include "core/fasted.hpp"
 #include "core/kernels/result_sink.hpp"
-#include "index/grid_index.hpp"
 
 namespace fasted::service {
 
@@ -100,8 +102,8 @@ struct ShardedCorpusOptions {
   // Shard -> execution-domain placement: shard ordinal k lives on domain
   // k % D (round-robin), where D is `placement_domains` if nonzero, else
   // the global ThreadPool's domain count at construction.  Each shard's
-  // rows, prepared panels, and grids are built — first-touched — on its
-  // owning domain, and the join executor routes the shard's drains there.
+  // rows and prepared panels are built — first-touched — on its owning
+  // domain, and the join executor routes the shard's drains there.
   // On flat single-domain machines every shard lands on domain 0 and
   // placement is a no-op.
   std::size_t placement_domains = 0;
@@ -112,7 +114,6 @@ struct ShardedStats {
   std::uint64_t rows_appended = 0;
   std::uint64_t shards_sealed = 0;   // seal events during appends
   std::uint64_t open_rebuilds = 0;   // open-shard re-preparations
-  std::uint64_t grids_built = 0;
   std::uint64_t calibration_hits = 0;    // target -> eps cache
   std::uint64_t calibration_misses = 0;
   std::uint64_t calibration_blocks_built = 0;  // sample x shard blocks
@@ -167,7 +168,6 @@ struct ShardInfo {
   bool sealed = false;
   std::uint64_t generation = 0;   // unique id of this shard build
   std::size_t domain = 0;         // owning execution domain (placement)
-  std::size_t grid_entries = 0;   // cached grid indexes
   std::size_t calibration_blocks = 0;  // cached sample-distance blocks
 };
 
@@ -224,16 +224,6 @@ class ShardedCorpus {
   // shard it is invalidated by the next append (hold a snapshot() to pin).
   const PreparedDataset& prepared(std::size_t shard) const;
 
-  // Grid index of one shard at cell width eps, built on first use and
-  // cached on the shard.  Same lifetime rules as prepared().
-  const index::GridIndex& grid_at(std::size_t shard, float eps);
-
-  // Candidate corpus rows (global ids) for an external query point: the
-  // union of every shard's grid candidates — a superset of the true
-  // eps-neighbors, like CorpusSession::grid_at + candidates_of.
-  void grid_candidates(const float* query, float eps,
-                       std::vector<std::uint32_t>& out);
-
   // Search radius whose self-join selectivity over the whole logical corpus
   // hits `target`, estimated from the per-shard calibration samples (see
   // file header) and cached per distinct target until the next append.
@@ -264,7 +254,7 @@ class ShardedCorpus {
   // Rebuild shard `ordinal`'s artifacts on `target_domain` (the append
   // rebuild path, pointed at a different domain).  Rows, generation,
   // sample, and calibration blocks are preserved — placement never changes
-  // results; grids rebuild lazily so their pages land on the new domain.
+  // results.
   void migrate(std::size_t ordinal, std::size_t target_domain);
 
   // See RebalanceOptions.  No-op (moved = 0) on single-domain pools or
@@ -296,7 +286,6 @@ class ShardedCorpus {
   // Swap in a new snapshot and drop calibration blocks keyed to shard
   // generations it no longer contains.  Callers hold append_mutex_.
   void publish(Snapshot next, bool invalidate_calibration);
-  const index::GridIndex& grid_on(const Shard& shard, float eps);
   // The (sample of s) x (rows of t) squared-distance block, cached on s.
   std::shared_ptr<const std::vector<double>> block_of(const Shard& s,
                                                       const Shard& t);
@@ -333,7 +322,7 @@ class ShardedCorpus::Shard {
   Shard(MatrixF32 pts, std::size_t base_row, bool seal, std::uint64_t gen,
         std::size_t owning_domain);
 
-  const MatrixF32 points;          // original FP32 rows (grid + calibration)
+  const MatrixF32 points;          // original FP32 rows (calibration)
   const PreparedDataset prepared;  // FP16 + dequant + RZ norms
   const std::size_t base;          // global id of local row 0
   const bool sealed;
@@ -345,8 +334,7 @@ class ShardedCorpus::Shard {
 
  private:
   friend class ShardedCorpus;
-  mutable std::mutex cache_mutex;
-  mutable std::map<float, std::unique_ptr<index::GridIndex>> grids;
+  mutable std::mutex cache_mutex;  // guards calib_blocks
   // Calibration blocks keyed by the TARGET shard's generation: distances
   // from this shard's sample rows to every row of that shard.  Entries for
   // dead generations are pruned after each append.

@@ -202,7 +202,7 @@ TEST(GatewayCoalescing, KnnAndMixedWindowsMatchSequential) {
   const auto data = data::uniform(300, 10, 951);
   const float eps = data::calibrate_epsilon(data, 18.0).eps;
   auto svc = std::make_shared<JoinService>(
-      std::make_shared<service::CorpusSession>(MatrixF32(data)));
+      std::make_shared<service::ShardedCorpus>(MatrixF32(data)));
 
   std::vector<KnnQuery> knns(3);
   knns[0] = KnnQuery{data::uniform(25, 10, 960), 4};
@@ -255,7 +255,7 @@ TEST(GatewayCoalescing, KnnAndMixedWindowsMatchSequential) {
 TEST(GatewayAdmission, ExpiredRequestsDropAtDispatchWithoutBlocking) {
   const auto data = data::uniform(200, 8, 971);
   auto svc = std::make_shared<JoinService>(
-      std::make_shared<service::CorpusSession>(MatrixF32(data)));
+      std::make_shared<service::ShardedCorpus>(MatrixF32(data)));
 
   GatewayOptions gopts;
   gopts.window_max_requests = 4;
@@ -299,7 +299,7 @@ TEST(GatewayAdmission, ExpiredRequestsDropAtDispatchWithoutBlocking) {
 TEST(GatewayAdmission, RingFullRejectsInsteadOfQueueing) {
   const auto data = data::uniform(200, 8, 981);
   auto svc = std::make_shared<JoinService>(
-      std::make_shared<service::CorpusSession>(MatrixF32(data)));
+      std::make_shared<service::ShardedCorpus>(MatrixF32(data)));
 
   GatewayOptions gopts;
   gopts.ring_capacity = 4;  // rounds to exactly 4 slots

@@ -21,6 +21,7 @@
 #include <thread>
 #include <vector>
 
+#include "../service_reference.hpp"
 #include "common/parallel.hpp"
 #include "common/topology.hpp"
 #include "core/kernels/kernel_context.hpp"
@@ -104,14 +105,13 @@ TEST(HeteroKernel, EpsAndKnnBitIdenticalAcrossKernelAssignments) {
   knn_request.points = MatrixF32(queries);
   knn_request.k = 4;
 
-  // Reference: flat pool, default (auto) kernel selection.
+  // Reference: engine-direct, flat pool, default (auto) kernel selection.
   QueryJoinOutput eps_expect;
   KnnBatchResult knn_expect;
   {
     ScopedTopology flat(1);
-    JoinService svc(std::make_shared<CorpusSession>(MatrixF32(data)));
-    eps_expect = svc.eps_join(eps_request);
-    knn_expect = svc.knn(knn_request);
+    eps_expect = reference::eps_reference(data, queries, eps);
+    knn_expect = reference::knn_reference(data, queries, knn_request.k);
   }
 
   for (const std::size_t domains : {std::size_t{1}, std::size_t{2}}) {
@@ -185,12 +185,8 @@ TEST(HeteroKernel, CoalescedGatewayBitIdenticalAcrossKernelAssignments) {
   }
   {
     ScopedTopology flat(1);
-    JoinService svc(std::make_shared<CorpusSession>(MatrixF32(data)));
     for (std::size_t c = 0; c < kClients; ++c) {
-      EpsQuery request;
-      request.points = MatrixF32(client_queries[c]);
-      request.eps = eps;
-      expects[c] = svc.eps_join(request);
+      expects[c] = reference::eps_reference(data, client_queries[c], eps);
     }
   }
 
@@ -283,8 +279,7 @@ TEST(HeteroKernel, ConcurrentServicesWithDifferentKernelsDoNotInterfere) {
   QueryJoinOutput expect;
   {
     ScopedTopology flat(1);
-    JoinService svc(std::make_shared<CorpusSession>(MatrixF32(data)));
-    expect = svc.eps_join(request);
+    expect = reference::eps_reference(data, queries, eps);
   }
 
   ScopedTopology topo(2);
@@ -292,7 +287,7 @@ TEST(HeteroKernel, ConcurrentServicesWithDifferentKernelsDoNotInterfere) {
     FastedConfig cfg = FastedConfig::paper_defaults();
     cfg.rz_kernel = selection;
     return std::make_shared<JoinService>(
-        std::make_shared<CorpusSession>(MatrixF32(data)), FastedEngine(cfg));
+        std::make_shared<ShardedCorpus>(MatrixF32(data)), FastedEngine(cfg));
   };
   auto scalar_svc = make_service("scalar");
   auto best_svc = make_service("auto");

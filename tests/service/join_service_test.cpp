@@ -10,16 +10,19 @@
 #include <thread>
 #include <vector>
 
+#include "../service_reference.hpp"
 #include "common/check.hpp"
 #include "common/parallel.hpp"
+#include "core/kernels/merging_sink.hpp"
 #include "data/calibrate.hpp"
 #include "data/generators.hpp"
 
 namespace fasted::service {
 namespace {
 
-std::shared_ptr<CorpusSession> make_session(const MatrixF32& corpus) {
-  return std::make_shared<CorpusSession>(MatrixF32(corpus));
+// An undivided resident corpus: one shard.
+std::shared_ptr<ShardedCorpus> make_corpus(const MatrixF32& corpus) {
+  return std::make_shared<ShardedCorpus>(MatrixF32(corpus));
 }
 
 // Acceptance: an EpsQuery batch whose query set equals the corpus
@@ -31,7 +34,7 @@ TEST(JoinService, EpsBatchEqualToCorpusReproducesSelfJoin) {
   FastedEngine engine;
   const auto self = engine.self_join(data, eps);
 
-  JoinService svc(make_session(data), engine);
+  JoinService svc(make_corpus(data), engine);
   EpsQuery request;
   request.points = data;
   request.eps = eps;
@@ -55,7 +58,7 @@ TEST(JoinService, EmulatedPathReproducesSelfJoinToo) {
   FastedEngine engine;
   const auto self = engine.self_join(data, eps);
 
-  JoinService svc(make_session(data), engine);
+  JoinService svc(make_corpus(data), engine);
   EpsQuery request;
   request.points = data;
   request.eps = eps;
@@ -66,7 +69,7 @@ TEST(JoinService, EmulatedPathReproducesSelfJoinToo) {
 
 TEST(JoinService, CalibratedEpsQueryUsesSessionCache) {
   const auto data = data::uniform(300, 8, 53);
-  JoinService svc(make_session(data));
+  JoinService svc(make_corpus(data));
 
   EpsQuery request;
   request.points = data;
@@ -76,7 +79,7 @@ TEST(JoinService, CalibratedEpsQueryUsesSessionCache) {
   const auto out2 = svc.eps_join(request);
   EXPECT_EQ(out1.pair_count, out2.pair_count);
 
-  const auto stats = svc.session().stats();
+  const auto stats = svc.sharded().stats();
   EXPECT_EQ(stats.calibration_misses, 1u);
   EXPECT_GE(stats.calibration_hits, 1u);
 }
@@ -84,7 +87,7 @@ TEST(JoinService, CalibratedEpsQueryUsesSessionCache) {
 TEST(JoinService, StreamingCallbackMatchesCsrResult) {
   const auto corpus = data::uniform(350, 8, 54);
   const auto queries = data::uniform(140, 8, 55);
-  JoinService svc(make_session(corpus));
+  JoinService svc(make_corpus(corpus));
 
   EpsQuery request;
   request.points = queries;
@@ -111,51 +114,61 @@ TEST(JoinService, StreamingCallbackMatchesCsrResult) {
   }
 }
 
-TEST(JoinService, StreamingMutexFallbackMatchesRingDelivery) {
-  const auto corpus = data::uniform(300, 8, 56);
-  const auto queries = data::uniform(100, 8, 57);
-  JoinService svc(make_session(corpus));
+// The callback runs on the streaming sink's consumer thread; an exception
+// it throws must reach the caller, not end the process from that thread,
+// and must leave the service serving.  The batch spans more query strips
+// than the delivery ring holds, so the join only completes if the consumer
+// keeps draining after the throw.
+TEST(JoinService, ThrowingStreamCallbackPropagatesAndServiceRecovers) {
+  struct CallbackFailure {};
+  const auto corpus = data::uniform(64, 8, 74);
+  const std::size_t strips = kernels::kDefaultStripRingCapacity + 6;
+  const auto queries = data::uniform(
+      strips * static_cast<std::size_t>(
+                   FastedConfig::paper_defaults().block_tile_m),
+      8, 75);
+  JoinService svc(make_corpus(corpus));
 
   EpsQuery request;
   request.points = queries;
   request.eps = 0.7f;
+  bool thrown = false;
+  bool called_after_throw = false;
+  EXPECT_THROW(
+      svc.eps_join(request,
+                   [&](std::size_t q, std::span<const QueryMatch>) {
+                     if (thrown) called_after_throw = true;
+                     if (q == 3) {
+                       thrown = true;
+                       throw CallbackFailure{};
+                     }
+                   }),
+      CallbackFailure);
+  EXPECT_TRUE(thrown);
+  EXPECT_FALSE(called_after_throw);
+
   const auto batched = svc.eps_join(request);
+  const auto expect =
+      reference::eps_reference(corpus, queries, request.eps);
+  ASSERT_EQ(batched.pair_count, expect.pair_count);
+  EXPECT_EQ(batched.result.offsets(), expect.result.offsets());
 
-  for (const StreamDelivery delivery :
-       {StreamDelivery::kRing, StreamDelivery::kMutex}) {
-    request.delivery = delivery;
-    std::vector<std::vector<QueryMatch>> streamed(queries.rows());
-    const auto out = svc.eps_join(
-        request, [&](std::size_t q, std::span<const QueryMatch> m) {
-          streamed[q].assign(m.begin(), m.end());
-        });
-    EXPECT_EQ(out.pair_count, batched.pair_count);
-    for (std::size_t i = 0; i < queries.rows(); ++i) {
-      const auto expect = batched.result.matches_of(i);
-      ASSERT_EQ(streamed[i].size(), expect.size()) << i;
-      for (std::size_t r = 0; r < expect.size(); ++r) {
-        EXPECT_EQ(streamed[i][r].id, expect[r].id) << i;
-        EXPECT_EQ(streamed[i][r].dist2, expect[r].dist2) << i;
-      }
-    }
-  }
-}
-
-TEST(JoinService, BackendAccessorsMatchConstruction) {
-  const auto corpus = data::uniform(60, 8, 58);
-  JoinService by_session(make_session(corpus));
-  EXPECT_FALSE(by_session.is_sharded());
-  EXPECT_EQ(by_session.session().size(), 60u);
-  EXPECT_THROW(by_session.sharded(), CheckError);
-
-  ShardedCorpusOptions opts;
-  opts.shards = 2;
-  JoinService by_shards(
-      std::make_shared<ShardedCorpus>(MatrixF32(corpus), opts));
-  EXPECT_TRUE(by_shards.is_sharded());
-  EXPECT_EQ(by_shards.sharded().size(), 60u);
-  EXPECT_EQ(by_shards.sharded().shard_count(), 2u);
-  EXPECT_THROW(by_shards.session(), CheckError);
+  std::vector<int> calls(queries.rows(), 0);
+  std::uint64_t streamed = 0;
+  const auto out = svc.eps_join(
+      request, [&](std::size_t q, std::span<const QueryMatch> m) {
+        ++calls[q];
+        const auto want = expect.result.matches_of(q);
+        ASSERT_EQ(m.size(), want.size()) << q;
+        for (std::size_t r = 0; r < m.size(); ++r) {
+          ASSERT_EQ(m[r].id, want[r].id) << q;
+        }
+        streamed += m.size();
+      });
+  EXPECT_EQ(out.pair_count, expect.pair_count);
+  EXPECT_EQ(streamed, expect.pair_count);
+  EXPECT_TRUE(std::all_of(calls.begin(), calls.end(),
+                          [](int c) { return c == 1; }));
 }
 
 // Acceptance: KnnQuery results match a brute-force reference of the FP32
@@ -165,7 +178,7 @@ TEST(JoinService, KnnMatchesBruteForceReference) {
   const auto queries = data::uniform(30, 8, 57);
   const std::size_t k = 4;
 
-  JoinService svc(make_session(corpus));
+  JoinService svc(make_corpus(corpus));
   KnnQuery request;
   request.points = queries;
   request.k = k;
@@ -193,7 +206,7 @@ TEST(JoinService, KnnMatchesBruteForceReference) {
 TEST(JoinService, KnnTinyRadiusStartConvergesViaAdaptiveRounds) {
   const auto corpus = data::uniform(200, 8, 58);
   const auto queries = data::uniform(25, 8, 59);
-  JoinService svc(make_session(corpus));
+  JoinService svc(make_corpus(corpus));
 
   KnnQuery request;
   request.points = queries;
@@ -212,7 +225,7 @@ TEST(JoinService, KnnTinyRadiusStartConvergesViaAdaptiveRounds) {
 TEST(JoinService, KnnKEqualsCorpusSizeRanksEverything) {
   const auto corpus = data::uniform(40, 8, 60);
   const auto queries = data::uniform(5, 8, 61);
-  JoinService svc(make_session(corpus));
+  JoinService svc(make_corpus(corpus));
   KnnQuery request;
   request.points = queries;
   request.k = 40;
@@ -228,7 +241,7 @@ TEST(JoinService, KnnKEqualsCorpusSizeRanksEverything) {
 
 TEST(JoinService, KnnCorpusMatchesExplicitSelfBatch) {
   const auto corpus = data::uniform(150, 8, 67);
-  JoinService svc(make_session(corpus));
+  JoinService svc(make_corpus(corpus));
 
   KnnQuery request;
   request.points = corpus;
@@ -251,7 +264,7 @@ TEST(JoinService, ConcurrentRequestsAreAdmittedSafely) {
   // the same answer as a serial run.
   const auto corpus = data::uniform(200, 8, 68);
   const auto queries = data::uniform(40, 8, 69);
-  JoinService svc(make_session(corpus));
+  JoinService svc(make_corpus(corpus));
 
   EpsQuery request;
   request.points = queries;
@@ -273,7 +286,7 @@ TEST(JoinService, ConcurrentRequestsAreAdmittedSafely) {
 TEST(JoinService, StatsAccumulateAcrossBatches) {
   const auto corpus = data::uniform(150, 8, 62);
   const auto queries = data::uniform(60, 8, 63);
-  JoinService svc(make_session(corpus));
+  JoinService svc(make_corpus(corpus));
 
   EpsQuery eq;
   eq.points = queries;
@@ -344,7 +357,7 @@ TEST(JoinService, DomainLoadsAreScopedToTheService) {
 TEST(JoinService, PhaseLatenciesPopulateWithNonZeroQuantiles) {
   const auto corpus = data::uniform(200, 8, 72);
   const auto queries = data::uniform(50, 8, 73);
-  JoinService svc(make_session(corpus));
+  JoinService svc(make_corpus(corpus));
 
   EpsQuery eq;
   eq.points = queries;
@@ -430,7 +443,7 @@ TEST(JoinService, RegimeRetuneFiresOnCorpusGrowthOnly) {
               seed_rows.rows() * seed_rows.stride() * sizeof(float));
   std::memcpy(all.row(seed_rows.rows()), growth.row(0),
               growth.rows() * growth.stride() * sizeof(float));
-  JoinService fresh(make_session(all));
+  JoinService fresh(make_corpus(all));
   const auto expect = fresh.eps_join(eq);
   ASSERT_EQ(retuned.pair_count, expect.pair_count);
   for (std::size_t q = 0; q < expect.result.num_queries(); ++q) {
@@ -445,7 +458,7 @@ TEST(JoinService, RegimeRetuneFiresOnCorpusGrowthOnly) {
 
 TEST(JoinService, RejectsBadRequests) {
   const auto corpus = data::uniform(50, 8, 64);
-  JoinService svc(make_session(corpus));
+  JoinService svc(make_corpus(corpus));
 
   EpsQuery empty;
   empty.points = MatrixF32(0, 8);
@@ -463,7 +476,6 @@ TEST(JoinService, RejectsBadRequests) {
   bad_k.k = 0;
   EXPECT_THROW(svc.knn(bad_k), CheckError);
 
-  EXPECT_THROW(JoinService(std::shared_ptr<CorpusSession>()), CheckError);
   EXPECT_THROW(JoinService(std::shared_ptr<ShardedCorpus>()), CheckError);
 }
 

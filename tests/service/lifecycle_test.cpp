@@ -2,8 +2,8 @@
 // physical tombstone drops), and domain migration — all property-tested
 // against the merge invariant: per-row artifacts depend only on the row, so
 // any re-chunking / renumbering / placement of the SURVIVING rows yields
-// eps/knn results bit-identical to a fresh single-session corpus holding
-// exactly those rows.
+// eps/knn results bit-identical to the engine-direct references
+// (service_reference.hpp) over exactly those rows.
 //
 // Also here: the append/steal hardening satellites — the exact-capacity
 // seal-boundary regression and the concurrent append/erase/serve/stats
@@ -19,6 +19,7 @@
 #include <thread>
 #include <vector>
 
+#include "../service_reference.hpp"
 #include "common/parallel.hpp"
 #include "common/topology.hpp"
 #include "data/calibrate.hpp"
@@ -122,8 +123,8 @@ TEST(CorpusLifecycle, EraseFiltersMatchesBitExactly) {
   request.eps = eps;
 
   // Reference: the dead rows physically never existed.
-  JoinService ref(std::make_shared<CorpusSession>(remove_rows(data, dead)));
-  const QueryJoinOutput expect = ref.eps_join(request);
+  const MatrixF32 kept = remove_rows(data, dead);
+  const QueryJoinOutput expect = reference::eps_reference(kept, queries, eps);
 
   ShardedCorpusOptions opts;
   opts.shards = 3;
@@ -158,7 +159,8 @@ TEST(CorpusLifecycle, EraseFiltersMatchesBitExactly) {
   KnnQuery knn_request;
   knn_request.points = MatrixF32(queries);
   knn_request.k = 5;
-  const KnnBatchResult knn_expect = ref.knn(knn_request);
+  const KnnBatchResult knn_expect =
+      reference::knn_reference(kept, queries, knn_request.k);
   expect_knn_equal_remapped(knn_expect, svc.knn(knn_request), queries.rows(),
                             knn_request.k, survivors, "tombstoned knn");
 
@@ -267,12 +269,13 @@ TEST(CorpusLifecycle, CompactDropsTombstonesAndRenumbersSurvivors) {
   knn_request.points = MatrixF32(queries);
   knn_request.k = 4;
 
-  // Reference: a fresh session over exactly the surviving rows — after a
-  // full-drop compaction the renumbered sharded corpus must MATCH IT
-  // DIRECTLY (ids and all), no remap.
-  JoinService ref(std::make_shared<CorpusSession>(remove_rows(data, dead)));
-  const QueryJoinOutput expect = ref.eps_join(request);
-  const KnnBatchResult knn_expect = ref.knn(knn_request);
+  // Reference: exactly the surviving rows — after a full-drop compaction
+  // the renumbered sharded corpus must MATCH IT DIRECTLY (ids and all), no
+  // remap.
+  const MatrixF32 kept = remove_rows(data, dead);
+  const QueryJoinOutput expect = reference::eps_reference(kept, queries, eps);
+  const KnnBatchResult knn_expect =
+      reference::knn_reference(kept, queries, knn_request.k);
 
   ShardedCorpusOptions opts;
   opts.shards = 3;
@@ -585,8 +588,8 @@ TEST(CorpusLifecycle, ConcurrentMutatorsAndReadersStaySane) {
   stop.store(true, std::memory_order_relaxed);
   for (auto& r : readers) r.join();
 
-  // Quiesced end state: the final snapshot serves exactly like a fresh
-  // session over its surviving rows.
+  // Quiesced end state: the final snapshot serves exactly like the
+  // engine-direct reference over its surviving rows.
   const auto snap = corpus->snapshot();
   std::vector<std::uint32_t> dead_now;
   std::size_t base = 0;
@@ -607,10 +610,9 @@ TEST(CorpusLifecycle, ConcurrentMutatorsAndReadersStaySane) {
   EpsQuery request;
   request.points = MatrixF32(queries);
   request.eps = eps;
-  JoinService ref(
-      std::make_shared<CorpusSession>(remove_rows(all, dead_now)));
-  expect_eps_equal_remapped(ref.eps_join(request), svc.eps_join(request),
-                            survivors, "post-stress");
+  expect_eps_equal_remapped(
+      reference::eps_reference(remove_rows(all, dead_now), queries, eps),
+      svc.eps_join(request), survivors, "post-stress");
 }
 
 }  // namespace

@@ -1,9 +1,9 @@
 // The sharding safety invariant, tested as properties over randomized
 // corpora and query batches: a ShardedCorpus with ANY shard count — and
 // ANY append history producing the same global row order — serves eps-join
-// and kNN results BIT-identical to the single-session PR 2 path
-// (JoinService over CorpusSession).  Streaming delivery (ring and mutex,
-// merged across shards) must agree with the batched CSR pair-for-pair.
+// and kNN results BIT-identical to the engine-direct references in
+// service_reference.hpp.  Streaming delivery (merged across shards) must
+// agree with the batched CSR pair-for-pair.
 
 #include <gtest/gtest.h>
 
@@ -13,6 +13,7 @@
 #include <memory>
 #include <vector>
 
+#include "../service_reference.hpp"
 #include "common/rng.hpp"
 #include "data/calibrate.hpp"
 #include "data/generators.hpp"
@@ -88,11 +89,10 @@ TEST(ShardInvariance, EpsJoinBitIdenticalAcrossShardCounts) {
                       900 + static_cast<std::uint64_t>(trial));
     const float eps = data::calibrate_epsilon(data, 24.0).eps;
 
-    JoinService reference(std::make_shared<CorpusSession>(MatrixF32(data)));
     EpsQuery request;
     request.points = MatrixF32(queries);
     request.eps = eps;
-    const auto expect = reference.eps_join(request);
+    const auto expect = reference::eps_reference(data, queries, eps);
 
     for (const std::size_t shards : kShardCounts) {
       JoinService svc(bulk_corpus(data, shards));
@@ -111,11 +111,10 @@ TEST(ShardInvariance, EpsJoinBitIdenticalAcrossAppendOrderings) {
   const auto queries = data::uniform(90, d, 132);
   const float eps = data::calibrate_epsilon(data, 24.0).eps;
 
-  JoinService reference(std::make_shared<CorpusSession>(MatrixF32(data)));
   EpsQuery request;
   request.points = MatrixF32(queries);
   request.eps = eps;
-  const auto expect = reference.eps_join(request);
+  const auto expect = reference::eps_reference(data, queries, eps);
 
   for (int trial = 0; trial < 4; ++trial) {
     const std::size_t capacity = 64 + rng.next_below(200);
@@ -135,11 +134,10 @@ TEST(ShardInvariance, KnnBitIdenticalAcrossShardCountsAndAppends) {
   const auto data = data::uniform(n, d, 141);
   const auto queries = data::uniform(60, d, 142);
 
-  JoinService reference(std::make_shared<CorpusSession>(MatrixF32(data)));
   KnnQuery request;
   request.points = MatrixF32(queries);
   request.k = 5;
-  const auto expect = reference.knn(request);
+  const auto expect = reference::knn_reference(data, queries, request.k);
 
   const auto check = [&](JoinService& svc, const char* label) {
     const auto got = svc.knn(request);
@@ -168,8 +166,7 @@ TEST(ShardInvariance, KnnBitIdenticalAcrossShardCountsAndAppends) {
 
 TEST(ShardInvariance, KnnCorpusBitIdenticalAcrossShardCounts) {
   const auto data = data::uniform(300, 8, 151);
-  JoinService reference(std::make_shared<CorpusSession>(MatrixF32(data)));
-  const auto expect = reference.knn_corpus(4);
+  const auto expect = reference::knn_reference(data, data, 4);
 
   for (const std::size_t shards : kShardCounts) {
     JoinService svc(bulk_corpus(data, shards));
@@ -197,29 +194,25 @@ TEST(ShardInvariance, StreamingMergeMatchesBatchedCsrBothDeliveries) {
     request.eps = eps;
     const auto batched = svc.eps_join(request);
 
-    for (const StreamDelivery delivery :
-         {StreamDelivery::kRing, StreamDelivery::kMutex}) {
-      request.delivery = delivery;
-      std::vector<std::vector<QueryMatch>> rows(queries.rows());
-      std::vector<int> deliveries(queries.rows(), 0);
-      const auto out = svc.eps_join(
-          request, [&](std::size_t q, std::span<const QueryMatch> matches) {
-            rows[q].assign(matches.begin(), matches.end());
-            ++deliveries[q];
-          });
-      ASSERT_EQ(out.pair_count, batched.pair_count);
-      for (std::size_t q = 0; q < queries.rows(); ++q) {
-        ASSERT_EQ(deliveries[q], 1) << "shards=" << shards << " q " << q;
-        const auto expect = batched.result.matches_of(q);
-        ASSERT_EQ(rows[q].size(), expect.size())
+    std::vector<std::vector<QueryMatch>> rows(queries.rows());
+    std::vector<int> deliveries(queries.rows(), 0);
+    const auto out = svc.eps_join(
+        request, [&](std::size_t q, std::span<const QueryMatch> matches) {
+          rows[q].assign(matches.begin(), matches.end());
+          ++deliveries[q];
+        });
+    ASSERT_EQ(out.pair_count, batched.pair_count);
+    for (std::size_t q = 0; q < queries.rows(); ++q) {
+      ASSERT_EQ(deliveries[q], 1) << "shards=" << shards << " q " << q;
+      const auto expect = batched.result.matches_of(q);
+      ASSERT_EQ(rows[q].size(), expect.size())
+          << "shards=" << shards << " q " << q;
+      for (std::size_t r = 0; r < expect.size(); ++r) {
+        ASSERT_EQ(rows[q][r].id, expect[r].id)
             << "shards=" << shards << " q " << q;
-        for (std::size_t r = 0; r < expect.size(); ++r) {
-          ASSERT_EQ(rows[q][r].id, expect[r].id)
-              << "shards=" << shards << " q " << q;
-          ASSERT_EQ(std::bit_cast<std::uint32_t>(rows[q][r].dist2),
-                    std::bit_cast<std::uint32_t>(expect[r].dist2))
-              << "shards=" << shards << " q " << q;
-        }
+        ASSERT_EQ(std::bit_cast<std::uint32_t>(rows[q][r].dist2),
+                  std::bit_cast<std::uint32_t>(expect[r].dist2))
+            << "shards=" << shards << " q " << q;
       }
     }
   }

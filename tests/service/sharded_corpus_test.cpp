@@ -1,15 +1,13 @@
 // ShardedCorpus lifecycle contracts: bulk split geometry, append/seal
 // mechanics, and — the property that makes incremental ingest worth having
 // — sealed shards' caches SURVIVING appends (pointer identity for prepared
-// data and grids, stat identity for calibration blocks).
+// data, stat identity for calibration blocks).
 
 #include "service/sharded_corpus.hpp"
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <cstring>
-#include <set>
 #include <thread>
 
 #include "common/check.hpp"
@@ -101,25 +99,23 @@ TEST(ShardedCorpus, SealedShardCachesSurviveAppendByPointerIdentity) {
   const auto pre_append = corpus.snapshot();
   const PreparedDataset* prep0 = &corpus.prepared(0);
   const PreparedDataset* prep1 = &corpus.prepared(1);
-  const index::GridIndex* grid0 = &corpus.grid_at(0, 0.5f);
-  const index::GridIndex* grid1 = &corpus.grid_at(1, 0.5f);
-  const index::GridIndex* grid_open = &corpus.grid_at(2, 0.5f);
-  EXPECT_EQ(corpus.stats().grids_built, 3u);
+  const PreparedDataset* prep_open = &corpus.prepared(2);
+  corpus.eps_for_selectivity(32.0);
+  const std::uint64_t blocks = corpus.stats().calibration_blocks_built;
+  EXPECT_EQ(blocks, 9u);  // 3 sample shards x 3 target shards
 
   corpus.append(row_slice(data, 250, 300));  // open shard rebuilt (50 -> 100)
 
-  // Sealed shards: the SAME objects — no re-preparation, no grid rebuild.
+  // Sealed shards: the SAME objects — no re-preparation.  The open shard
+  // was replaced.
   EXPECT_EQ(&corpus.prepared(0), prep0);
   EXPECT_EQ(&corpus.prepared(1), prep1);
-  EXPECT_EQ(&corpus.grid_at(0, 0.5f), grid0);
-  EXPECT_EQ(&corpus.grid_at(1, 0.5f), grid1);
-  EXPECT_EQ(corpus.stats().grids_built, 3u);  // no new builds for sealed
+  EXPECT_NE(&corpus.prepared(2), prep_open);
 
-  // The open shard was replaced: its grid cache was invalidated, and
-  // asking again builds a fresh one over the grown shard.
-  const index::GridIndex* grid2 = &corpus.grid_at(2, 0.5f);
-  EXPECT_NE(grid2, grid_open);
-  EXPECT_EQ(corpus.stats().grids_built, 4u);
+  // Recalibration reuses the 4 sealed x sealed blocks and rebuilds only
+  // the 5 that involve the replaced shard.
+  corpus.eps_for_selectivity(32.0);
+  EXPECT_EQ(corpus.stats().calibration_blocks_built, blocks + 5);
 }
 
 TEST(ShardedCorpus, CalibrationBlocksAreReusedAcrossAppends) {
@@ -149,8 +145,8 @@ TEST(ShardedCorpus, CalibrationBlocksAreReusedAcrossAppends) {
   EXPECT_EQ(corpus.stats().calibration_blocks_built, k * k + 2 * k - 1);
   EXPECT_EQ(corpus.stats().calibration_misses, 2u);
 
-  // The calibrated radius lands near the requested selectivity (it is an
-  // estimate, like CorpusSession's) — verify against the exact count.
+  // The calibrated radius lands near the requested selectivity (it is a
+  // sampled estimate) — verify against the exact count.
   const MatrixF32 whole = row_slice(data, 0, 300);
   const double achieved = data::exact_selectivity(whole, eps2);
   EXPECT_GT(achieved, 32.0 * 0.5);
@@ -200,40 +196,14 @@ TEST(ShardedCorpus, CalibrationIsDeleteAwareWithoutBlockRebuilds) {
   EXPECT_LT(achieved, target * 2.0);
 }
 
-TEST(ShardedCorpus, GridCandidatesCoverTrueNeighborsAcrossShards) {
-  const auto corpus_data = data::uniform(400, 8, 75);
-  const auto queries = data::uniform(20, 8, 76);
-  ShardedCorpusOptions opts;
-  opts.shards = 3;
-  ShardedCorpus corpus{MatrixF32(corpus_data), opts};
-  const float eps = 0.4f;
-
-  for (std::size_t qi = 0; qi < queries.rows(); ++qi) {
-    std::vector<std::uint32_t> cand;
-    corpus.grid_candidates(queries.row(qi), eps, cand);
-    const std::set<std::uint32_t> cset(cand.begin(), cand.end());
-    for (std::size_t j = 0; j < corpus_data.rows(); ++j) {
-      double acc = 0;
-      for (std::size_t k = 0; k < corpus_data.dims(); ++k) {
-        const double d = static_cast<double>(queries.at(qi, k)) -
-                         corpus_data.at(j, k);
-        acc += d * d;
-      }
-      if (std::sqrt(acc) <= eps) {
-        EXPECT_TRUE(cset.count(static_cast<std::uint32_t>(j)))
-            << "query " << qi << " missing corpus neighbor " << j;
-      }
-    }
-  }
-}
-
 TEST(ShardedCorpus, ConcurrentReadersDuringAppendAreSafe) {
   const auto data = data::uniform(600, 8, 77);
   ShardedCorpusOptions opts;
   opts.shard_capacity = 100;
   ShardedCorpus corpus{row_slice(data, 0, 150), opts};
 
-  // Readers hold snapshots and hammer caches while appends grow the corpus.
+  // Readers hold snapshots and hammer the calibration cache while appends
+  // grow the corpus.
   std::vector<std::thread> threads;
   for (int t = 0; t < 4; ++t) {
     threads.emplace_back([&, t] {
@@ -246,8 +216,7 @@ TEST(ShardedCorpus, ConcurrentReadersDuringAppendAreSafe) {
           rows += shard->rows();
           ASSERT_EQ(shard->prepared.rows(), shard->rows());
         }
-        std::vector<std::uint32_t> cand;
-        corpus.grid_candidates(data.row((t * 37 + i) % 600), 0.5f, cand);
+        ASSERT_GT(corpus.eps_for_selectivity(8.0 + t), 0.0f);
       }
     });
   }
@@ -269,7 +238,6 @@ TEST(ShardedCorpus, RejectsBadInputs) {
   EXPECT_THROW(corpus.append(MatrixF32(0, 8)), CheckError);
   EXPECT_THROW(corpus.append(MatrixF32(5, 4)), CheckError);  // dims mismatch
   EXPECT_THROW(corpus.prepared(3), CheckError);
-  EXPECT_THROW(corpus.grid_at(3, 0.5f), CheckError);
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "../service_reference.hpp"
 #include "common/parallel.hpp"
 #include "common/topology.hpp"
 #include "data/calibrate.hpp"
@@ -86,12 +87,11 @@ TEST(TopologyInvariance, EpsJoinBitIdenticalAcrossDomainCountsAndStealing) {
   request.points = MatrixF32(queries);
   request.eps = eps;
 
-  // Reference: the flat pre-topology layout.
+  // Reference: engine-direct on the flat pre-topology layout.
   QueryJoinOutput expect;
   {
     ScopedTopology flat(1);
-    JoinService svc(std::make_shared<CorpusSession>(MatrixF32(data)));
-    expect = svc.eps_join(request);
+    expect = reference::eps_reference(data, queries, eps);
   }
 
   for (const std::size_t domains : kDomainCounts) {
@@ -124,8 +124,7 @@ TEST(TopologyInvariance, KnnBitIdenticalAcrossDomainCounts) {
   KnnBatchResult expect;
   {
     ScopedTopology flat(1);
-    JoinService svc(std::make_shared<CorpusSession>(MatrixF32(data)));
-    expect = svc.knn(request);
+    expect = reference::knn_reference(data, queries, request.k);
   }
 
   for (const std::size_t domains : kDomainCounts) {
@@ -222,9 +221,9 @@ TEST(TopologyInvariance, AppendDrivenGrowthKeepsPlacementAndResults) {
 // The lifecycle invariance matrix (delete/compact/rebalance across
 // topologies): for every domain count x shard count x steal mode, the
 // SURVIVING rows' eps and knn results are bit-identical whether the dead
-// rows are (a) absent from a fresh flat-pool session, (b) tombstone-masked,
-// or (c) physically dropped by compaction — and a rebalance() pass between
-// serves changes nothing but placement.
+// rows are (a) absent from a flat-pool engine-direct reference,
+// (b) tombstone-masked, or (c) physically dropped by compaction — and a
+// rebalance() pass between serves changes nothing but placement.
 TEST(TopologyInvariance, DeleteCompactRebalanceBitIdenticalAcrossTopologies) {
   const auto data = data::uniform(380, 12, 827);
   const auto queries = data::uniform(60, 12, 828);
@@ -258,9 +257,8 @@ TEST(TopologyInvariance, DeleteCompactRebalanceBitIdenticalAcrossTopologies) {
   KnnBatchResult knn_expect;
   {
     ScopedTopology flat(1);
-    JoinService ref(std::make_shared<CorpusSession>(MatrixF32(removed)));
-    eps_expect = ref.eps_join(eps_request);
-    knn_expect = ref.knn(knn_request);
+    eps_expect = reference::eps_reference(removed, queries, eps);
+    knn_expect = reference::knn_reference(removed, queries, k);
   }
 
   const auto check_eps = [&](JoinService& svc, const std::uint32_t* remap,
@@ -342,8 +340,7 @@ TEST(TopologyInvariance, RestrictedCpusetDegradesGracefully) {
   QueryJoinOutput expect;
   {
     ScopedTopology flat(1);
-    JoinService svc(std::make_shared<CorpusSession>(MatrixF32(data)));
-    expect = svc.eps_join(request);
+    expect = reference::eps_reference(data, queries, request.eps);
   }
 
   // A topology whose cpu ids cannot exist on any machine: every pin fails

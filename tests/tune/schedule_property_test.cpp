@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "../service_reference.hpp"
 #include "common/parallel.hpp"
 #include "common/topology.hpp"
 #include "core/fasted.hpp"
@@ -24,7 +25,6 @@
 namespace fasted::tune {
 namespace {
 
-using service::CorpusSession;
 using service::EpsQuery;
 using service::JoinService;
 using service::KnnBatchResult;
@@ -87,14 +87,14 @@ TEST(ScheduleProperty, EpsAndKnnBitIdenticalForEverySchedule) {
   knn_request.points = MatrixF32(queries);
   knn_request.k = 4;
 
-  // Reference: flat pool, default schedule, monolithic corpus.
+  // Reference: engine-direct, flat pool, default schedule, monolithic
+  // corpus.
   QueryJoinOutput eps_expect;
   KnnBatchResult knn_expect;
   {
     ScopedTopology flat(1);
-    JoinService ref(std::make_shared<CorpusSession>(MatrixF32(data)));
-    eps_expect = ref.eps_join(eps_request);
-    knn_expect = ref.knn(knn_request);
+    eps_expect = reference::eps_reference(data, queries, eps);
+    knn_expect = reference::knn_reference(data, queries, knn_request.k);
   }
 
   for (const std::size_t domains : kDomainCounts) {
