@@ -21,6 +21,7 @@
 //              --ingest-fraction 0.5
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -28,7 +29,9 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <system_error>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "baselines/gds_join.hpp"
@@ -139,6 +142,21 @@ void usage() {
       "                   loads, and registry histograms as JSON\n");
 }
 
+// Reads all of `text` as a T into `out`.  Fails on trailing characters,
+// out-of-range values, a sign on an unsigned T, and non-finite floats.
+template <typename T>
+bool parse_number(const char* text, T& out) {
+  const char* end = text + std::strlen(text);
+  T value{};
+  const auto [stop, ec] = std::from_chars(text, end, value);
+  if (ec != std::errc() || stop != end) return false;
+  if constexpr (std::is_floating_point_v<T>) {
+    if (!std::isfinite(value)) return false;
+  }
+  out = value;
+  return true;
+}
+
 bool parse(int argc, char** argv, Args& args) {
   for (int i = 1; i < argc; ++i) {
     const std::string flag = argv[i];
@@ -146,6 +164,12 @@ bool parse(int argc, char** argv, Args& args) {
       return ++i < argc ? argv[i] : nullptr;
     };
     const char* v = nullptr;
+    // Parses the flag's value v into `out`, or reports it and fails.
+    auto number = [&](auto& out) {
+      if (parse_number(v, out)) return true;
+      std::fprintf(stderr, "bad value for %s: %s\n", flag.c_str(), v);
+      return false;
+    };
     if (flag == "--help" || flag == "-h") return false;
     if (flag == "--dataset" && (v = next())) {
       args.dataset = v;
@@ -156,27 +180,27 @@ bool parse(int argc, char** argv, Args& args) {
     } else if (flag == "--algo" && (v = next())) {
       args.algo = v;
     } else if (flag == "--n" && (v = next())) {
-      args.n = std::stoull(v);
+      if (!number(args.n)) return false;
     } else if (flag == "--d" && (v = next())) {
-      args.d = std::stoull(v);
+      if (!number(args.d)) return false;
     } else if (flag == "--seed" && (v = next())) {
-      args.seed = std::stoull(v);
+      if (!number(args.seed)) return false;
     } else if (flag == "--eps" && (v = next())) {
-      args.eps = std::stof(v);
+      if (!number(args.eps.emplace())) return false;
     } else if (flag == "--selectivity" && (v = next())) {
-      args.selectivity = std::stod(v);
+      if (!number(args.selectivity)) return false;
     } else if (flag == "--queries" && (v = next())) {
-      args.queries = std::stoull(v);
+      if (!number(args.queries)) return false;
     } else if (flag == "--serve-batches" && (v = next())) {
-      args.serve_batches = std::stoull(v);
+      if (!number(args.serve_batches)) return false;
     } else if (flag == "--shards" && (v = next())) {
-      args.shards = std::stoull(v);
+      if (!number(args.shards)) return false;
     } else if (flag == "--ingest-fraction" && (v = next())) {
-      args.ingest_fraction = std::stod(v);
+      if (!number(args.ingest_fraction)) return false;
     } else if (flag == "--domains" && (v = next())) {
-      args.domains = std::stoull(v);
+      if (!number(args.domains)) return false;
     } else if (flag == "--delete-fraction" && (v = next())) {
-      args.delete_fraction = std::stod(v);
+      if (!number(args.delete_fraction)) return false;
     } else if (flag == "--compact") {
       args.compact = true;
     } else if (flag == "--rebalance") {
@@ -184,11 +208,11 @@ bool parse(int argc, char** argv, Args& args) {
     } else if (flag == "--autotune") {
       args.autotune = true;
     } else if (flag == "--probe-rows" && (v = next())) {
-      args.probe_rows = std::stoull(v);
+      if (!number(args.probe_rows)) return false;
     } else if (flag == "--kernel" && (v = next())) {
       args.kernel = v;
     } else if (flag == "--gateway" && (v = next())) {
-      args.gateway = std::stoull(v);
+      if (!number(args.gateway)) return false;
     } else if (flag == "--save-schedule" && (v = next())) {
       args.save_schedule = v;
     } else if (flag == "--load-schedule" && (v = next())) {

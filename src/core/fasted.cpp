@@ -35,17 +35,6 @@ void query_row_join(const float* query, float query_norm,
                     const MatrixF32& corpus_values,
                     const std::vector<float>& corpus_norms, std::size_t begin,
                     std::size_t end, float eps2,
-                    std::vector<QueryMatch>& out) {
-  const kernels::KernelRegistry& reg = kernels::KernelRegistry::global();
-  const kernels::RzDotKernel* pin = reg.env_pin();
-  query_row_join(query, query_norm, corpus_values, corpus_norms, begin, end,
-                 eps2, pin != nullptr ? *pin : reg.best(), out);
-}
-
-void query_row_join(const float* query, float query_norm,
-                    const MatrixF32& corpus_values,
-                    const std::vector<float>& corpus_norms, std::size_t begin,
-                    std::size_t end, float eps2,
                     const kernels::RzDotKernel& kern,
                     std::vector<QueryMatch>& out) {
   const std::size_t dims = corpus_values.stride();
@@ -249,98 +238,7 @@ ShardedPlanSet compose_self_plans(const FastedConfig& cfg,
   return set;
 }
 
-// Self-join through the unified pipeline: the composed plans emit the
-// global strict upper triangle once (fast rz_dot kernels or the emulated
-// block-tile data path — bit-identical by construction), the sink mirrors
-// (across shard boundaries like any other pair), and the count recovers
-// the mirrored half plus the n always-within-eps self pairs.
-JoinOutput run_self_join(const FastedConfig& cfg,
-                         std::span<const CorpusShardView> shards, float eps2,
-                         const JoinOptions& options) {
-  const std::size_t n = sharded_rows(shards);
-  const bool emulated = options.path == ExecutionPath::kEmulated;
-  ShardedPlanSet set = compose_self_plans(cfg, shards);
-
-  // Tombstoned rows contribute no pairs and no self pair: the sink drops
-  // any upper-triangle hit touching a dead row, and the count arithmetic
-  // recovers the mirrored half over the ALIVE diagonal only.
-  const std::size_t alive =
-      options.tombstones != nullptr
-          ? n - static_cast<std::size_t>(options.tombstones->dead_count())
-          : n;
-  JoinOutput out;
-  if (options.build_result) {
-    kernels::SelfJoinCsrSink sink(n, /*mirror=*/true);
-    sink.filter_tombstones(options.tombstones);
-    const std::uint64_t hits =
-        kernels::execute_join(cfg, set.span(), eps2, emulated, sink);
-    out.pair_count = 2 * (hits - sink.dropped()) + alive;
-    out.result = sink.finalize();
-    FASTED_CHECK(out.result.pair_count() == out.pair_count);
-  } else {
-    kernels::CountSink sink(/*self_ends=*/true);
-    sink.filter_tombstones(options.tombstones);
-    const std::uint64_t hits =
-        kernels::execute_join(cfg, set.span(), eps2, emulated, sink);
-    out.pair_count = 2 * (hits - sink.dropped()) + alive;
-  }
-  return out;
-}
-
-// General A x B join: a rectangular plan, ids-only CSR rows per query.
-JoinOutput run_join(const FastedConfig& cfg, const PreparedDataset& queries,
-                    const PreparedDataset& corpus, float eps2,
-                    const JoinOptions& options) {
-  const bool emulated = options.path == ExecutionPath::kEmulated;
-  kernels::JoinPlan plan =
-      kernels::JoinPlan::rectangular(cfg, queries.rows(), corpus.rows());
-  const kernels::JoinInputs in = join_inputs(queries, corpus);
-
-  JoinOutput out;
-  if (options.build_result) {
-    kernels::SelfJoinCsrSink sink(queries.rows(), /*mirror=*/false);
-    out.pair_count = kernels::execute_join(cfg, plan, in, eps2, emulated, sink);
-    out.result = sink.finalize();
-  } else {
-    kernels::CountSink sink;
-    out.pair_count = kernels::execute_join(cfg, plan, in, eps2, emulated, sink);
-  }
-  return out;
-}
-
-// The direct-mode SelfJoinCsrSink (run_join) treats both hit ids as corpus
-// rows; a query-side filter there would be wrong, so the general A x B join
-// simply rejects tombstones — the query-service paths (query_join*) are the
-// delete-aware ones.
-void check_no_tombstones(const JoinOptions& options, const char* api) {
-  FASTED_CHECK_MSG(options.tombstones == nullptr,
-                   "tombstone filtering is not supported by this join API");
-  (void)api;
-}
-
 }  // namespace
-
-JoinOutput FastedEngine::join(const MatrixF32& queries,
-                              const MatrixF32& corpus, float eps,
-                              const JoinOptions& options) const {
-  FASTED_CHECK_MSG(queries.rows() > 0 && corpus.rows() > 0, "empty input");
-  FASTED_CHECK_MSG(queries.dims() == corpus.dims(),
-                   "query/corpus dimensionality mismatch");
-  FASTED_CHECK_MSG(eps >= 0, "negative search radius");
-  check_no_tombstones(options, "join");
-  static obs::ConcurrentHistogram& hist = engine_histogram("join");
-  obs::PhaseTimer timer(hist);
-
-  const PreparedDataset q(queries);
-  const PreparedDataset c(corpus);
-  JoinOutput out = run_join(config_, q, c, eps * eps, options);
-  out.host_seconds = timer.seconds();
-  out.perf = estimate_join(queries.rows(), corpus.rows(), queries.dims());
-  out.timing = model_response_time(queries.rows() + corpus.rows(),
-                                   queries.dims(), out.pair_count);
-  out.timing.kernel_s = out.perf.kernel_seconds;
-  return out;
-}
 
 QueryJoinOutput FastedEngine::query_join(const PreparedDataset& queries,
                                          const PreparedDataset& corpus,
@@ -366,6 +264,8 @@ QueryJoinOutput FastedEngine::query_join(const PreparedDataset& queries,
   const bool emulated = options.path == ExecutionPath::kEmulated;
   ShardedPlanSet set =
       compose_query_plans(config_, queries, shards, /*strip=*/false);
+  const kernels::KernelContext ctx =
+      kernels::KernelContext::resolve(config_.rz_kernel, ThreadPool::global());
 
   // With a tombstone filter, pair_count is the SURVIVING match count (raw
   // kernel emissions minus the sink's drops); shard_pairs stays raw — it
@@ -376,38 +276,23 @@ QueryJoinOutput FastedEngine::query_join(const PreparedDataset& queries,
   if (options.build_result) {
     kernels::QueryJoinCsrSink sink(queries.rows());
     sink.filter_tombstones(options.tombstones);
-    const std::uint64_t raw = kernels::execute_join(config_, set.span(),
-                                                    eps * eps, emulated, sink,
-                                                    out.shard_pairs.data());
+    const std::uint64_t raw =
+        kernels::execute_join(config_, set.span(), eps * eps, emulated, sink,
+                              out.shard_pairs.data(), ctx);
     out.pair_count = raw - sink.dropped();
     out.result = sink.finalize();
   } else {
     kernels::CountSink sink;
     sink.filter_tombstones(options.tombstones);
-    const std::uint64_t raw = kernels::execute_join(config_, set.span(),
-                                                    eps * eps, emulated, sink,
-                                                    out.shard_pairs.data());
+    const std::uint64_t raw =
+        kernels::execute_join(config_, set.span(), eps * eps, emulated, sink,
+                              out.shard_pairs.data(), ctx);
     out.pair_count = raw - sink.dropped();
   }
   out.host_seconds = timer.seconds();
   out.perf = estimate_join(queries.rows(), nc, queries.dims());
   out.timing = model_query_response_time(queries.rows(), nc, queries.dims(),
                                          out.pair_count);
-  return out;
-}
-
-QueryJoinOutput FastedEngine::query_join(const MatrixF32& queries,
-                                         const PreparedDataset& corpus,
-                                         float eps,
-                                         const JoinOptions& options) const {
-  FASTED_CHECK_MSG(queries.rows() > 0, "empty query batch");
-  // Separate name from the prepared-input overload: this one includes the
-  // query batch's FP16 preparation.
-  static obs::ConcurrentHistogram& hist = engine_histogram("query_join_prep");
-  obs::PhaseTimer timer(hist);
-  const PreparedDataset prepared(queries);
-  QueryJoinOutput out = query_join(prepared, corpus, eps, options);
-  out.host_seconds = timer.seconds();
   return out;
 }
 
@@ -423,8 +308,10 @@ std::uint64_t FastedEngine::query_join_into(
   // per shard (a merging sink reassembles the shards per query strip).
   ShardedPlanSet set =
       compose_query_plans(config_, queries, shards, /*strip=*/true);
+  const kernels::KernelContext ctx =
+      kernels::KernelContext::resolve(config_.rz_kernel, ThreadPool::global());
   return kernels::execute_join(config_, set.span(), eps * eps,
-                               /*emulated=*/false, sink);
+                               /*emulated=*/false, sink, nullptr, ctx);
 }
 
 JoinOutput FastedEngine::self_join(const MatrixF32& data, float eps,
@@ -451,63 +338,43 @@ JoinOutput FastedEngine::self_join(std::span<const CorpusShardView> shards,
   static obs::ConcurrentHistogram& hist = engine_histogram("self_join");
   obs::PhaseTimer timer(hist);
 
-  JoinOutput out = run_self_join(config_, shards, eps * eps, options);
+  // The composed plans emit the global strict upper triangle once (fast
+  // rz_dot kernels or the emulated block-tile data path — bit-identical by
+  // construction), the sink mirrors (across shard boundaries like any other
+  // pair), and the count recovers the mirrored half plus the n
+  // always-within-eps self pairs.
+  const bool emulated = options.path == ExecutionPath::kEmulated;
+  const float eps2 = eps * eps;
+  ShardedPlanSet set = compose_self_plans(config_, shards);
+  const kernels::KernelContext ctx =
+      kernels::KernelContext::resolve(config_.rz_kernel, ThreadPool::global());
+
+  // Tombstoned rows contribute no pairs and no self pair: the sink drops
+  // any upper-triangle hit touching a dead row, and the count arithmetic
+  // recovers the mirrored half over the ALIVE diagonal only.
+  const std::size_t alive =
+      options.tombstones != nullptr
+          ? n - static_cast<std::size_t>(options.tombstones->dead_count())
+          : n;
+  JoinOutput out;
+  if (options.build_result) {
+    kernels::SelfJoinCsrSink sink(n);
+    sink.filter_tombstones(options.tombstones);
+    const std::uint64_t hits = kernels::execute_join(
+        config_, set.span(), eps2, emulated, sink, nullptr, ctx);
+    out.pair_count = 2 * (hits - sink.dropped()) + alive;
+    out.result = sink.finalize();
+    FASTED_CHECK(out.result.pair_count() == out.pair_count);
+  } else {
+    kernels::CountSink sink(/*self_ends=*/true);
+    sink.filter_tombstones(options.tombstones);
+    const std::uint64_t hits = kernels::execute_join(
+        config_, set.span(), eps2, emulated, sink, nullptr, ctx);
+    out.pair_count = 2 * (hits - sink.dropped()) + alive;
+  }
   out.host_seconds = timer.seconds();
   out.perf = estimate(n, d);
   out.timing = model_response_time(n, d, out.pair_count);
-  return out;
-}
-
-JoinOutput FastedEngine::batched_self_join(const MatrixF32& data, float eps,
-                                           std::size_t batch_rows,
-                                           const JoinOptions& options) const {
-  FASTED_CHECK_MSG(data.rows() > 0, "empty dataset");
-  FASTED_CHECK_MSG(batch_rows > 0, "batch size must be positive");
-  check_no_tombstones(options, "batched_self_join");
-  static obs::ConcurrentHistogram& hist =
-      engine_histogram("batched_self_join");
-  obs::PhaseTimer timer(hist);
-  const PreparedDataset prepared(data);
-  const std::size_t n = prepared.rows();
-  const float eps2 = eps * eps;
-  const kernels::JoinInputs in = join_inputs(prepared, prepared);
-
-  JoinOutput out;
-  kernels::CountSink count_sink;
-  kernels::SelfJoinCsrSink csr_sink(options.build_result ? n : 0,
-                                    /*mirror=*/false);
-  kernels::ResultSink& sink =
-      options.build_result ? static_cast<kernels::ResultSink&>(csr_sink)
-                           : count_sink;
-
-  double kernel_s = 0;
-  double d2h_s = 0;
-  for (std::size_t q0 = 0; q0 < n; q0 += batch_rows) {
-    const std::size_t q1 = std::min(q0 + batch_rows, n);
-    // Functional strip: queries [q0, q1) against the full corpus, through
-    // the same plan/kernel/sink pipeline as every other join.
-    kernels::JoinPlan plan =
-        kernels::JoinPlan::self_strip(config_, q0, q1, n);
-    const std::uint64_t strip_pairs = kernels::execute_join(
-        config_, plan, in, eps2, /*emulated=*/false, sink);
-    out.pair_count += strip_pairs;
-    // Modeled per-batch legs: one rectangular kernel + its result transfer.
-    const auto perf =
-        estimate_fasted_join_kernel(config_, q1 - q0, n, prepared.dims());
-    kernel_s += perf.kernel_seconds;
-    d2h_s += static_cast<double>(strip_pairs) * sizeof(ResultPair) /
-                 (config_.device.pcie_bandwidth_gbs * 1e9) +
-             config_.device.kernel_launch_overhead_s;
-  }
-
-  if (options.build_result) {
-    out.result = csr_sink.finalize();
-  }
-  out.host_seconds = timer.seconds();
-  out.perf = estimate(n, prepared.dims());
-  out.timing = model_response_time(n, prepared.dims(), out.pair_count);
-  out.timing.kernel_s = kernel_s;
-  out.timing.device_to_host_s = d2h_s;
   return out;
 }
 

@@ -74,9 +74,9 @@ struct JoinOutput {
 struct QueryJoinOutput {
   QueryJoinResult result;
   std::uint64_t pair_count = 0;
-  // Hits per corpus shard (one entry per shard of the sharded overloads;
-  // a single entry for the plain corpus overloads) — the service's per-shard
-  // skew stats read this.
+  // Hits per corpus shard (one entry per shard of the span; a single entry
+  // when the corpus is one PreparedDataset) — the service's per-shard skew
+  // stats read this.
   std::vector<std::uint64_t> shard_pairs;
   PerfEstimate perf;        // includes query_tiles / corpus_tiles
   TimingBreakdown timing;
@@ -185,21 +185,6 @@ class FastedEngine {
   JoinOutput self_join(std::span<const CorpusShardView> shards, float eps,
                        const JoinOptions& options = {}) const;
 
-  // Self-join processed in horizontal strips of `batch_rows` queries so the
-  // device-resident result buffer stays bounded (the analog of GDS-Join's
-  // result batching; FaSTED itself OOMs at Sift10M S=256 without it).
-  // Functionally identical to self_join; the modeled timing adds per-batch
-  // kernel launches and transfers.
-  JoinOutput batched_self_join(const MatrixF32& data, float eps,
-                               std::size_t batch_rows,
-                               const JoinOptions& options = {}) const;
-
-  // General range join: for every query row, the corpus rows within eps.
-  // The result set has one row per query (no self pairs unless a query
-  // coincides with a corpus point).  Both matrices must share `dims()`.
-  JoinOutput join(const MatrixF32& queries, const MatrixF32& corpus,
-                  float eps, const JoinOptions& options = {}) const;
-
   // The query-service kernel: joins a prepared query batch against a
   // prepared (resident) corpus, decomposed into block_tile_m x block_tile_n
   // work items drained from a rectangular WorkQueue on the thread pool.
@@ -208,12 +193,6 @@ class FastedEngine {
   // corpus reproduces the self-join pairs exactly.  Returns per-query
   // matches with their pipeline squared distances.
   QueryJoinOutput query_join(const PreparedDataset& queries,
-                             const PreparedDataset& corpus, float eps,
-                             const JoinOptions& options = {}) const;
-
-  // Convenience overload preparing the query batch in place (the corpus
-  // stays resident; query FP16 conversion + norms are counted in timing).
-  QueryJoinOutput query_join(const MatrixF32& queries,
                              const PreparedDataset& corpus, float eps,
                              const JoinOptions& options = {}) const;
 
@@ -280,18 +259,9 @@ float fasted_pair_dist2(const float* pi, const float* pj, std::size_t dims,
 // Appends every corpus row in [begin, end) within the squared radius `eps2`
 // of one prepared query row, with pipeline squared distances, ascending
 // corpus id — a one-query convenience over the shared rz_dot panel kernels
-// (kNN straggler sweeps, classifiers); pass eps2 = infinity to rank the
-// whole corpus.
-void query_row_join(const float* query, float query_norm,
-                    const MatrixF32& corpus_values,
-                    const std::vector<float>& corpus_norms, std::size_t begin,
-                    std::size_t end, float eps2,
-                    std::vector<QueryMatch>& out);
-
-// Same, with the kernel chosen explicitly (callers that resolved a
-// per-domain KernelContext pass the owning domain's kernel).  The
-// kernel-less overload above uses the process-wide best (or the
-// FASTED_RZ_KERNEL pin) from the immutable registry.
+// (kNN straggler sweeps); pass eps2 = infinity to rank the whole corpus.
+// Callers that resolved a per-domain KernelContext pass the owning
+// domain's kernel.
 void query_row_join(const float* query, float query_norm,
                     const MatrixF32& corpus_values,
                     const std::vector<float>& corpus_norms, std::size_t begin,

@@ -1,5 +1,6 @@
 #include "core/io.hpp"
 
+#include <algorithm>
 #include <cstdint>
 #include <fstream>
 #include <vector>
@@ -39,6 +40,18 @@ std::ifstream open_in(const std::string& path) {
   return is;
 }
 
+// Bytes from the read position to the end of the file: every size a header
+// declares is checked against this before anything is allocated.
+std::uint64_t bytes_left(std::ifstream& is) {
+  const std::streampos pos = is.tellg();
+  is.seekg(0, std::ios::end);
+  const std::streampos end = is.tellg();
+  is.seekg(pos);
+  FASTED_CHECK_MSG(static_cast<bool>(is) && pos >= 0 && end >= pos,
+                   "unseekable file");
+  return static_cast<std::uint64_t>(end - pos);
+}
+
 }  // namespace
 
 void save_matrix(const MatrixF32& m, const std::string& path) {
@@ -63,6 +76,10 @@ MatrixF32 load_matrix(const std::string& path) {
   const auto rows = read_pod<std::uint64_t>(is);
   const auto dims = read_pod<std::uint64_t>(is);
   FASTED_CHECK_MSG(rows > 0 && dims > 0, "empty matrix file: " + path);
+  // rows x dims floats must fit in the rest of the file; dividing instead
+  // of multiplying keeps the comparison from wrapping.
+  FASTED_CHECK_MSG(dims <= bytes_left(is) / sizeof(float) / rows,
+                   "matrix size past end of file: " + path);
   MatrixF32 m(rows, dims);
   for (std::size_t i = 0; i < rows; ++i) {
     is.read(reinterpret_cast<char*>(m.row(i)),
@@ -95,6 +112,15 @@ SelfJoinResult load_result(const std::string& path) {
                    "unsupported version: " + path);
   const auto n = read_pod<std::uint64_t>(is);
   const auto pairs = read_pod<std::uint64_t>(is);
+  // n + 1 offsets, then `pairs` ids, must fit in the rest of the file.  The
+  // comparisons divide instead of multiplying, and n < left / 8 also keeps
+  // n + 1 from wrapping.
+  std::uint64_t left = bytes_left(is);
+  FASTED_CHECK_MSG(n < left / sizeof(std::uint64_t),
+                   "result offsets past end of file: " + path);
+  left -= (n + 1) * sizeof(std::uint64_t);
+  FASTED_CHECK_MSG(pairs <= left / sizeof(std::uint32_t),
+                   "result ids past end of file: " + path);
   std::vector<std::uint64_t> offsets(n + 1);
   is.read(reinterpret_cast<char*>(offsets.data()),
           static_cast<std::streamsize>(offsets.size() * sizeof(std::uint64_t)));
@@ -103,7 +129,10 @@ SelfJoinResult load_result(const std::string& path) {
           static_cast<std::streamsize>(neighbors.size() *
                                        sizeof(std::uint32_t)));
   FASTED_CHECK_MSG(static_cast<bool>(is), "truncated result file: " + path);
-  FASTED_CHECK_MSG(offsets.front() == 0 && offsets.back() == pairs,
+  // Offsets run from 0 to `pairs` and never decrease, so every row's
+  // [offsets[i], offsets[i + 1]) lies inside the id array.
+  FASTED_CHECK_MSG(offsets.front() == 0 && offsets.back() == pairs &&
+                       std::is_sorted(offsets.begin(), offsets.end()),
                    "corrupt CSR offsets: " + path);
 
   std::vector<std::vector<std::uint32_t>> rows(n);

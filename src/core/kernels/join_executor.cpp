@@ -310,24 +310,4 @@ std::uint64_t execute_join(const FastedConfig& cfg,
   return total.load();
 }
 
-std::uint64_t execute_join(const FastedConfig& cfg,
-                           std::span<ShardJoin> entries, float eps2,
-                           bool emulated, ResultSink& sink,
-                           std::uint64_t* per_entry_hits) {
-  const KernelContext ctx =
-      KernelContext::resolve(cfg.rz_kernel, ThreadPool::global());
-  return execute_join(cfg, entries, eps2, emulated, sink, per_entry_hits,
-                      ctx);
-}
-
-std::uint64_t execute_join(const FastedConfig& cfg, JoinPlan& plan,
-                           const JoinInputs& in, float eps2, bool emulated,
-                           ResultSink& sink) {
-  ShardJoin one;
-  one.plan = &plan;
-  one.in = in;
-  return execute_join(cfg, std::span<ShardJoin>(&one, 1), eps2, emulated,
-                      sink);
-}
-
 }  // namespace fasted::kernels

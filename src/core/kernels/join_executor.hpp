@@ -1,8 +1,9 @@
 // The unified join executor: drains JoinPlan tiles on the shared ThreadPool,
 // evaluates every (query, corpus) cell with the dispatched rz_dot kernel (or
 // the emulated block-tile data path), and hands within-eps hits to a
-// ResultSink.  All of FastedEngine's joins — self, strip-batched,
-// rectangular, streaming, sharded — are thin wrappers around this one loop.
+// ResultSink.  Both of FastedEngine's join shapes — the self-join and the
+// query join (CSR, count-only or sink-directed) — over one shard or many
+// are thin wrappers around this one loop.
 //
 // Sharded corpora compose here rather than in a new driver: a sharded join
 // is a span of ShardJoin entries (one plan per shard, or per shard pair for
@@ -81,7 +82,7 @@ struct ShardJoin {
 // work, which is what the skew/rebalance consumers want).  If sink.consume
 // throws (a per-tile sink rejecting a tile it cannot place), the drain
 // finishes and the first exception is rethrown on the calling thread.
-// The primary overload threads the kernel context explicitly: each entry's
+// The kernel context is always passed explicitly: each entry's
 // tiles run the kernel `ctx` resolved for the entry's OWNING domain (the
 // same modulo routing that places the entry), so heterogeneous-ISA domains
 // each run their own backend — bit-identically, since every variant
@@ -95,18 +96,5 @@ std::uint64_t execute_join(const FastedConfig& cfg,
                            bool emulated, ResultSink& sink,
                            std::uint64_t* per_entry_hits,
                            const KernelContext& ctx);
-
-// Convenience: resolves the context from cfg.rz_kernel against the global
-// pool's per-domain feature probes (the common path).
-std::uint64_t execute_join(const FastedConfig& cfg,
-                           std::span<ShardJoin> entries, float eps2,
-                           bool emulated, ResultSink& sink,
-                           std::uint64_t* per_entry_hits = nullptr);
-
-// Single-plan convenience: one entry with zero offsets (the pre-sharding
-// signature; every non-sharded join still comes through here).
-std::uint64_t execute_join(const FastedConfig& cfg, JoinPlan& plan,
-                           const JoinInputs& in, float eps2, bool emulated,
-                           ResultSink& sink);
 
 }  // namespace fasted::kernels

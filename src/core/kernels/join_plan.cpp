@@ -54,7 +54,7 @@ JoinPlan JoinPlan::triangular_self(const FastedConfig& cfg, std::size_t n) {
   const std::size_t tiles = div_up(n, bm);
   auto order = triangular_order_cached(cfg.dispatch_policy(), tiles,
                                        cfg.dispatch_square);
-  return JoinPlan(std::move(order), bm, bm, 0, n, n, /*triangular=*/true);
+  return JoinPlan(std::move(order), bm, bm, n, n, /*triangular=*/true);
 }
 
 JoinPlan JoinPlan::rectangular(const FastedConfig& cfg, std::size_t nq,
@@ -64,19 +64,7 @@ JoinPlan JoinPlan::rectangular(const FastedConfig& cfg, std::size_t nq,
   const auto bn = static_cast<std::size_t>(cfg.block_tile_n);
   auto order = sim::dispatch_order_cached(cfg.dispatch_policy(), div_up(nq, bm),
                                           div_up(nc, bn), cfg.dispatch_square);
-  return JoinPlan(std::move(order), bm, bn, 0, nq, nc, /*triangular=*/false);
-}
-
-JoinPlan JoinPlan::self_strip(const FastedConfig& cfg, std::size_t row0,
-                              std::size_t row1, std::size_t n) {
-  FASTED_CHECK_MSG(row0 < row1 && row1 <= n, "bad strip bounds");
-  const auto bm = static_cast<std::size_t>(cfg.block_tile_m);
-  const auto bn = static_cast<std::size_t>(cfg.block_tile_n);
-  auto order = sim::dispatch_order_cached(cfg.dispatch_policy(),
-                                          div_up(row1 - row0, bm),
-                                          div_up(n, bn), cfg.dispatch_square);
-  return JoinPlan(std::move(order), bm, bn, row0, row1, n,
-                  /*triangular=*/false);
+  return JoinPlan(std::move(order), bm, bn, nq, nc, /*triangular=*/false);
 }
 
 JoinPlan JoinPlan::query_strip(const FastedConfig& cfg, std::size_t nq,
@@ -87,7 +75,7 @@ JoinPlan JoinPlan::query_strip(const FastedConfig& cfg, std::size_t nq,
   // matches complete within a single tile (streaming sinks rely on this).
   auto order = sim::dispatch_order_cached(cfg.dispatch_policy(), div_up(nq, bm),
                                           1, cfg.dispatch_square);
-  return JoinPlan(std::move(order), bm, nc, 0, nq, nc, /*triangular=*/false);
+  return JoinPlan(std::move(order), bm, nc, nq, nc, /*triangular=*/false);
 }
 
 bool JoinPlan::next(TileRange& out) {
@@ -106,7 +94,7 @@ bool JoinPlan::steal_next(TileRange& out) {
 
 void JoinPlan::fill_range(const std::pair<std::uint32_t, std::uint32_t>& tile,
                           TileRange& out) const {
-  out.q0 = query_base_ + static_cast<std::size_t>(tile.first) * tile_m_;
+  out.q0 = static_cast<std::size_t>(tile.first) * tile_m_;
   out.q1 = std::min(out.q0 + tile_m_, nq_);
   out.c0 = static_cast<std::size_t>(tile.second) * tile_n_;
   out.c1 = std::min(out.c0 + tile_n_, nc_);

@@ -1,20 +1,15 @@
 // JoinPlan: one tile enumeration for every join traversal.
 //
-// The repo historically had three divergent drivers — a per-row triangular
-// self-join, a strip-batched self-join, and a rectangular query-join — each
-// with its own work decomposition.  A JoinPlan expresses all of them as a
-// single concept: a grid of block tiles (block_tile_m query rows x
+// A JoinPlan is a grid of block tiles (block_tile_m query rows x
 // block_tile_n corpus rows), ordered by the L2-locality dispatch policy and
-// drained concurrently from the existing WorkQueue.
+// drained concurrently from the existing WorkQueue.  Three shapes cover
+// every join the engine runs:
 //
 //   triangular_self  upper-triangle tiles of an n x n self-join; diagonal
 //                    tiles emit only j > i and the self-join CSR sink
 //                    mirrors (dist is exactly symmetric under RZ).
 //   rectangular      the full query x corpus grid (resident query joins,
-//                    general A x B joins).
-//   self_strip       queries [row0, row1) of an n-point self-join against
-//                    the full corpus — the strip-batched driver's unit,
-//                    with tile query ids kept global.
+//                    and the shard-pair blocks of a sharded self-join).
 //   query_strip      block_tile_m queries x the whole corpus per tile, for
 //                    streaming sinks that need each query's matches to
 //                    complete within one tile.
@@ -48,8 +43,6 @@ class JoinPlan {
   static JoinPlan triangular_self(const FastedConfig& cfg, std::size_t n);
   static JoinPlan rectangular(const FastedConfig& cfg, std::size_t nq,
                               std::size_t nc);
-  static JoinPlan self_strip(const FastedConfig& cfg, std::size_t row0,
-                             std::size_t row1, std::size_t n);
   static JoinPlan query_strip(const FastedConfig& cfg, std::size_t nq,
                               std::size_t nc);
 
@@ -72,12 +65,11 @@ class JoinPlan {
                   TileRange& out) const;
 
   JoinPlan(std::shared_ptr<const WorkQueue::Order> order, std::size_t tile_m,
-           std::size_t tile_n, std::size_t query_base, std::size_t nq,
-           std::size_t nc, bool triangular)
+           std::size_t tile_n, std::size_t nq, std::size_t nc,
+           bool triangular)
       : queue_(std::move(order)),
         tile_m_(tile_m),
         tile_n_(tile_n),
-        query_base_(query_base),
         nq_(nq),
         nc_(nc),
         triangular_(triangular) {}
@@ -85,8 +77,7 @@ class JoinPlan {
   WorkQueue queue_;
   std::size_t tile_m_;
   std::size_t tile_n_;
-  std::size_t query_base_;  // global id of the first query row (strips)
-  std::size_t nq_;          // global query row bound (query_base_ + strip)
+  std::size_t nq_;
   std::size_t nc_;
   bool triangular_;
 };

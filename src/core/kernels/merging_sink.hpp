@@ -13,7 +13,7 @@
 //                    result.  For self-joins, the per-shard triangular plans
 //                    plus shard-pair rectangular plans cover exactly the
 //                    global strict upper triangle, and the sink's mirror
-//                    mode reflects it across shard boundaries like any other
+//                    reflects it across shard boundaries like any other
 //                    pair.
 //   streaming-merge  StreamingSink (below): a query's matches arrive in one
 //                    tile per shard; the sink holds a strip until all shards

@@ -36,8 +36,7 @@ bool TombstoneFilter::dead(std::uint32_t global_row) const {
   return (span.bits[local >> 6] >> (local & 63)) & 1u;
 }
 
-SelfJoinCsrSink::SelfJoinCsrSink(std::size_t n, bool mirror)
-    : mirror_(mirror), rows_(n) {}
+SelfJoinCsrSink::SelfJoinCsrSink(std::size_t n) : rows_(n) {}
 
 namespace {
 
@@ -105,8 +104,6 @@ SelfJoinResult SelfJoinCsrSink::finalize() {
       std::sort(rows_[i].begin(), rows_[i].end());
     }
   });
-  if (!mirror_) return SelfJoinResult::from_rows(std::move(rows_));
-
   // rows_ holds each point's j > i neighbors, sorted.  Ascending final rows
   // are below-neighbors (mirrored), then self, then above-neighbors.  Dead
   // rows (tombstone filter) never received or produced a hit, and their

@@ -4,11 +4,9 @@
 // happens to a hit is the sink's business:
 //
 //   CountSink          pair accounting only — no hit ever materializes.
-//   SelfJoinCsrSink    SelfJoinResult builder.  In mirror mode it receives
-//                      the upper triangle (j > i) of a triangular plan and
-//                      finalizes by adding self pairs and mirroring; in
-//                      direct mode it receives complete rows (strip or
-//                      rectangular plans).
+//   SelfJoinCsrSink    SelfJoinResult builder.  It receives the strict
+//                      upper triangle (j > i) of a self-join and finalizes
+//                      by adding self pairs and mirroring.
 //   QueryJoinCsrSink   QueryJoinResult builder (keeps pipeline distances).
 //
 // Two per-tile sinks build on these: StreamingSink (merging_sink.hpp), the
@@ -163,20 +161,20 @@ class CountSink final : public ResultSink {
 
 class SelfJoinCsrSink final : public ResultSink {
  public:
-  // mirror: hits are the strict upper triangle of an n-point self-join;
-  // finalize() mirrors them and inserts the n self pairs.  Under a
-  // tombstone filter both endpoints are corpus rows: a hit is dropped when
-  // EITHER end is dead, and finalize() skips dead rows' self pairs (their
-  // rows come out empty).
-  SelfJoinCsrSink(std::size_t n, bool mirror);
+  // Hits are the strict upper triangle of an n-point self-join; finalize()
+  // mirrors them and inserts the n self pairs.  Under a tombstone filter
+  // both endpoints are corpus rows: a hit is dropped when EITHER end is
+  // dead, and finalize() skips dead rows' self pairs (their rows come out
+  // empty).
+  explicit SelfJoinCsrSink(std::size_t n);
 
   void consume(const TileRange&, std::span<const PairHit> hits) override;
 
-  // Sorts rows ascending (mirroring first if requested) and builds the CSR.
+  // Sorts rows ascending, mirrors them, inserts the self pairs and builds
+  // the CSR.
   SelfJoinResult finalize();
 
  private:
-  bool mirror_;
   std::array<std::mutex, kSinkStripes> stripes_;
   std::vector<std::vector<std::uint32_t>> rows_;
 };

@@ -1,10 +1,10 @@
 // The rz_dot kernel family: the one hot loop of the whole system.
 //
-// Every distance FaSTED produces — self-join, strip-batched join, resident
-// query join, kNN straggler sweeps — reduces to the same primitive: the
-// inner product of two FP16-exact rows accumulated in FP32 with
-// round-toward-zero, term by term, in ascending dimension order (the
-// tensor-core chain of common/rounding.hpp).  One chain step is
+// Every distance FaSTED produces — self-join, resident query join, kNN
+// straggler sweeps — reduces to the same primitive: the inner product of
+// two FP16-exact rows accumulated in FP32 with round-toward-zero, term by
+// term, in ascending dimension order (the tensor-core chain of
+// common/rounding.hpp).  One chain step is
 // RZ(acc + q*c) with a single rounding; the FP16 product is exact in FP32,
 // so this is exactly add_rz(acc, q*c).  This header is the single home of
 // that primitive and of the paper's Step 3 epilogue that follows it.

@@ -154,23 +154,24 @@ TEST(Fasted, RejectsEmptyAndNegative) {
 }
 
 TEST(FastedJoin, QueryCorpusMatchesSelfJoinOnSameData) {
-  // join(D, D) must reproduce the self-join result exactly.
+  // query_join(D, D) must reproduce the self-join result exactly.
   const auto data = data::uniform(200, 24, 37);
   FastedEngine engine;
+  const PreparedDataset prepared(data);
   const auto self = engine.self_join(data, 1.0f);
-  const auto ab = engine.join(data, data, 1.0f);
+  const auto ab = engine.query_join(prepared, prepared, 1.0f);
   ASSERT_EQ(ab.pair_count, self.pair_count);
   for (std::size_t i = 0; i < data.rows(); ++i) {
-    const auto a = ab.result.neighbors_of(i);
+    const auto a = ab.result.matches_of(i);
     const auto b = self.result.neighbors_of(i);
     ASSERT_EQ(a.size(), b.size()) << i;
-    for (std::size_t k = 0; k < a.size(); ++k) ASSERT_EQ(a[k], b[k]);
+    for (std::size_t k = 0; k < a.size(); ++k) ASSERT_EQ(a[k].id, b[k]);
   }
 }
 
 TEST(FastedJoin, DisjointSplitCoversSelfJoin) {
   // Splitting the dataset into Q and C: self-join pairs across the split
-  // equal the join(Q, C) pairs.
+  // equal the query_join(Q, C) pairs.
   const auto data = data::uniform(300, 16, 41);
   MatrixF32 q(150, 16), c(150, 16);
   for (std::size_t i = 0; i < 150; ++i) {
@@ -181,7 +182,8 @@ TEST(FastedJoin, DisjointSplitCoversSelfJoin) {
   }
   FastedEngine engine;
   const float eps = 0.9f;
-  const auto ab = engine.join(q, c, eps);
+  const auto ab =
+      engine.query_join(PreparedDataset(q), PreparedDataset(c), eps);
   const auto self = engine.self_join(data, eps);
   std::uint64_t crossing = 0;
   for (std::size_t i = 0; i < 150; ++i) {
@@ -193,40 +195,43 @@ TEST(FastedJoin, DisjointSplitCoversSelfJoin) {
 }
 
 TEST(FastedJoin, EmulatedPathMatchesFastPath) {
-  const auto q = data::uniform(150, 48, 43);
-  const auto c = data::uniform(260, 48, 44);
+  const PreparedDataset q(data::uniform(150, 48, 43));
+  const PreparedDataset c(data::uniform(260, 48, 44));
   FastedEngine engine;
   JoinOptions emulated;
   emulated.path = ExecutionPath::kEmulated;
-  const auto a = engine.join(q, c, 1.4f);
-  const auto b = engine.join(q, c, 1.4f, emulated);
+  const auto a = engine.query_join(q, c, 1.4f);
+  const auto b = engine.query_join(q, c, 1.4f, emulated);
   ASSERT_EQ(a.pair_count, b.pair_count);
   for (std::size_t i = 0; i < q.rows(); ++i) {
-    const auto na = a.result.neighbors_of(i);
-    const auto nb = b.result.neighbors_of(i);
+    const auto na = a.result.matches_of(i);
+    const auto nb = b.result.matches_of(i);
     ASSERT_EQ(na.size(), nb.size()) << i;
-    for (std::size_t k = 0; k < na.size(); ++k) ASSERT_EQ(na[k], nb[k]);
+    for (std::size_t k = 0; k < na.size(); ++k) {
+      ASSERT_EQ(na[k].id, nb[k].id);
+      ASSERT_EQ(na[k].dist2, nb[k].dist2);
+    }
   }
 }
 
 TEST(FastedJoin, RectangularResultShape) {
-  const auto q = data::uniform(50, 8, 45);
-  const auto c = data::uniform(400, 8, 46);
+  const PreparedDataset q(data::uniform(50, 8, 45));
+  const PreparedDataset c(data::uniform(400, 8, 46));
   FastedEngine engine;
-  const auto out = engine.join(q, c, 0.4f);
-  EXPECT_EQ(out.result.num_points(), 50u);  // one row per query
+  const auto out = engine.query_join(q, c, 0.4f);
+  EXPECT_EQ(out.result.num_queries(), 50u);  // one row per query
   for (std::size_t i = 0; i < 50; ++i) {
-    for (std::uint32_t j : out.result.neighbors_of(i)) {
-      EXPECT_LT(j, 400u);
+    for (const QueryMatch& m : out.result.matches_of(i)) {
+      EXPECT_LT(m.id, 400u);
     }
   }
 }
 
 TEST(FastedJoin, DimensionMismatchThrows) {
-  const auto q = data::uniform(10, 8, 47);
-  const auto c = data::uniform(10, 16, 48);
+  const PreparedDataset q(data::uniform(10, 8, 47));
+  const PreparedDataset c(data::uniform(10, 16, 48));
   FastedEngine engine;
-  EXPECT_THROW(engine.join(q, c, 1.0f), CheckError);
+  EXPECT_THROW(engine.query_join(q, c, 1.0f), CheckError);
 }
 
 TEST(FastedJoin, RectangularPerfModelScalesWithWork) {
@@ -283,24 +288,6 @@ TEST(PreparedData, PairDistanceIsSymmetricAndConsistent) {
                               prepared.norms()[1], prepared.norms()[2]));
 }
 
-TEST(BatchedJoin, MatchesUnbatchedExactly) {
-  const auto data = data::uniform(300, 24, 57);
-  FastedEngine engine;
-  const auto whole = engine.self_join(data, 1.0f);
-  for (std::size_t batch : {64, 100, 300, 1000}) {
-    const auto batched = engine.batched_self_join(data, 1.0f, batch);
-    ASSERT_EQ(batched.pair_count, whole.pair_count) << batch;
-    for (std::size_t i = 0; i < data.rows(); ++i) {
-      const auto a = batched.result.neighbors_of(i);
-      const auto b = whole.result.neighbors_of(i);
-      ASSERT_EQ(a.size(), b.size()) << "batch " << batch << " point " << i;
-      for (std::size_t kk = 0; kk < a.size(); ++kk) {
-        ASSERT_EQ(a[kk], b[kk]);
-      }
-    }
-  }
-}
-
 TEST(BatchedJoin, BoundsResultMemoryPerBatch) {
   // At paper scale, batching is what makes Sift10M S=256 feasible: each
   // strip's result buffer fits even though the whole result does not.
@@ -311,14 +298,6 @@ TEST(BatchedJoin, BoundsResultMemoryPerBatch) {
   const std::size_t strip = n / 16;
   EXPECT_TRUE(engine.device_memory_report(n, 128, pairs_total / 16).fits)
       << "strip " << strip;
-}
-
-TEST(BatchedJoin, TimingAccumulatesLaunches) {
-  const auto data = data::uniform(256, 16, 59);
-  FastedEngine engine;
-  const auto one = engine.batched_self_join(data, 0.5f, 256);
-  const auto four = engine.batched_self_join(data, 0.5f, 64);
-  EXPECT_GT(four.timing.device_to_host_s, one.timing.device_to_host_s);
 }
 
 TEST(Fasted, SelectivityMatchesDefinition) {

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <vector>
 
 #include "common/check.hpp"
 #include "core/fasted.hpp"
@@ -11,6 +14,9 @@
 
 namespace fasted::io {
 namespace {
+
+constexpr std::uint32_t kMatrixMagic = 0xfa57ed01;
+constexpr std::uint32_t kResultMagic = 0xfa57ed02;
 
 class IoTest : public ::testing::Test {
  protected:
@@ -20,6 +26,23 @@ class IoTest : public ::testing::Test {
     const auto p = dir / name;
     paths_.push_back(p.string());
     return p.string();
+  }
+  // A hand-made file in the io.hpp layout: magic, version 1, u64 header
+  // and offset words, then u32 neighbor ids — with whatever values a
+  // hostile writer chooses.
+  std::string raw_file(const std::string& name, std::uint32_t magic,
+                       const std::vector<std::uint64_t>& words,
+                       const std::vector<std::uint32_t>& ids = {}) {
+    const std::string path = temp_path(name);
+    std::ofstream os(path, std::ios::binary | std::ios::trunc);
+    const std::uint32_t version = 1;
+    os.write(reinterpret_cast<const char*>(&magic), sizeof magic);
+    os.write(reinterpret_cast<const char*>(&version), sizeof version);
+    os.write(reinterpret_cast<const char*>(words.data()),
+             static_cast<std::streamsize>(words.size() * sizeof(words[0])));
+    os.write(reinterpret_cast<const char*>(ids.data()),
+             static_cast<std::streamsize>(ids.size() * sizeof(ids[0])));
+    return path;
   }
   void TearDown() override {
     for (const auto& p : paths_) std::filesystem::remove(p);
@@ -88,6 +111,36 @@ TEST_F(IoTest, RejectsTruncatedFile) {
   const auto path = temp_path("trunc.bin");
   save_matrix(m, path);
   std::filesystem::resize_file(path, 64);
+  EXPECT_THROW(load_matrix(path), CheckError);
+}
+
+TEST_F(IoTest, ResultRejectsDecreasingOffsets) {
+  // n = 2, one pair, offsets {0, 5, 1}: row 0 would read ids [0, 5).
+  const auto path =
+      raw_file("decreasing.bin", kResultMagic, {2, 1, 0, 5, 1}, {0});
+  EXPECT_THROW(load_result(path), CheckError);
+}
+
+TEST_F(IoTest, ResultRejectsRowCountThatWraps) {
+  // n = 2^64 - 1: n + 1 offsets wraps to zero.
+  const auto path = raw_file("wraps.bin", kResultMagic, {~0ull, 0});
+  EXPECT_THROW(load_result(path), CheckError);
+}
+
+TEST_F(IoTest, ResultRejectsPairsPastEndOfFile) {
+  // A 48-byte file declaring 2^40 pairs (4 TiB of ids).
+  const std::uint64_t pairs = 1ull << 40;
+  const auto path =
+      raw_file("pairs.bin", kResultMagic, {2, pairs, 0, 0, pairs});
+  ASSERT_EQ(std::filesystem::file_size(path), 48u);
+  EXPECT_THROW(load_result(path), CheckError);
+}
+
+TEST_F(IoTest, MatrixRejectsSizePastEndOfFile) {
+  // A 24-byte file declaring 2^20 x 2^20 floats (4 TiB).
+  const auto path =
+      raw_file("huge.bin", kMatrixMagic, {1ull << 20, 1ull << 20});
+  ASSERT_EQ(std::filesystem::file_size(path), 24u);
   EXPECT_THROW(load_matrix(path), CheckError);
 }
 

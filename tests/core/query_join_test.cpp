@@ -69,18 +69,26 @@ TEST(QueryJoin, RectangularShapesCrossTileBoundaries) {
   const float eps = 0.7f;
   const auto out = engine.query_join(q, c, eps);
 
-  // Reference: the general join (independent implementation, same
-  // numerics).
-  const auto ref = engine.join(queries, corpus, eps);
-  ASSERT_EQ(out.pair_count, ref.pair_count);
+  // Reference: a per-pair scan of the pipeline distance, no tiles and no
+  // executor.
+  std::uint64_t ref_pairs = 0;
   for (std::size_t i = 0; i < queries.rows(); ++i) {
     const auto got = out.result.matches_of(i);
-    const auto expect = ref.result.neighbors_of(i);
-    ASSERT_EQ(got.size(), expect.size()) << i;
-    for (std::size_t r = 0; r < expect.size(); ++r) {
-      EXPECT_EQ(got[r].id, expect[r]) << i;
+    std::size_t r = 0;
+    for (std::size_t j = 0; j < corpus.rows(); ++j) {
+      const float d2 =
+          fasted_pair_dist2(q.values().row(i), c.values().row(j),
+                            q.values().stride(), q.norms()[i], c.norms()[j]);
+      if (d2 > eps * eps) continue;
+      ASSERT_LT(r, got.size()) << i;
+      EXPECT_EQ(got[r].id, j) << i;
+      EXPECT_EQ(got[r].dist2, d2) << i;
+      ++r;
     }
+    EXPECT_EQ(r, got.size()) << i;
+    ref_pairs += r;
   }
+  EXPECT_EQ(out.pair_count, ref_pairs);
 }
 
 TEST(QueryJoin, CountOnlyMatchesBuiltResult) {
@@ -136,7 +144,8 @@ TEST(QueryRowJoin, InfiniteRadiusRanksWholeCorpus) {
   const PreparedDataset c(corpus);
   std::vector<QueryMatch> out;
   query_row_join(c.values().row(0), c.norms()[0], c.values(), c.norms(), 0,
-                 c.rows(), std::numeric_limits<float>::infinity(), out);
+                 c.rows(), std::numeric_limits<float>::infinity(),
+                 kernels::rz_dot_scalar(), out);
   ASSERT_EQ(out.size(), c.rows());
   for (std::size_t j = 0; j < out.size(); ++j) {
     EXPECT_EQ(out[j].id, static_cast<std::uint32_t>(j));

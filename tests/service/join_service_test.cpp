@@ -189,7 +189,8 @@ TEST(JoinService, KnnMatchesBruteForceReference) {
   for (std::size_t i = 0; i < queries.rows(); ++i) {
     std::vector<QueryMatch> all;
     query_row_join(pq.values().row(i), pq.norms()[i], pc.values(), pc.norms(),
-                   0, pc.rows(), std::numeric_limits<float>::infinity(), all);
+                   0, pc.rows(), std::numeric_limits<float>::infinity(),
+                   kernels::rz_dot_scalar(), all);
     std::sort(all.begin(), all.end(), [](const QueryMatch& a,
                                          const QueryMatch& b) {
       return a.dist2 != b.dist2 ? a.dist2 < b.dist2 : a.id < b.id;

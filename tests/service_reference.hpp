@@ -6,7 +6,8 @@
 //   eps_reference  FastedEngine().query_join on one unsharded
 //                  PreparedDataset of the corpus.
 //   knn_reference  every corpus row ranked by (dist2, id) through
-//                  query_row_join with eps2 = +inf; distances are
+//                  query_row_join with eps2 = +inf on the scalar kernel
+//                  (whatever kernel the service runs); distances are
 //                  sqrt(max(0, dist2)), the float the service reports.
 
 #pragma once
@@ -42,7 +43,8 @@ inline service::KnnBatchResult knn_reference(const MatrixF32& corpus,
   for (std::size_t q = 0; q < pq.rows(); ++q) {
     all.clear();
     query_row_join(pq.values().row(q), pq.norms()[q], pc.values(), pc.norms(),
-                   0, pc.rows(), std::numeric_limits<float>::infinity(), all);
+                   0, pc.rows(), std::numeric_limits<float>::infinity(),
+                   kernels::rz_dot_scalar(), all);
     std::sort(all.begin(), all.end(),
               [](const QueryMatch& a, const QueryMatch& b) {
                 return a.dist2 != b.dist2 ? a.dist2 < b.dist2 : a.id < b.id;
