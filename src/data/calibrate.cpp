@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include "common/check.hpp"
@@ -19,6 +20,54 @@ double dist2_f64(const float* a, const float* b, std::size_t dims) {
   return acc;
 }
 
+void dist2_block_f64(const MatrixF32& from,
+                     std::span<const std::uint32_t> samples,
+                     const MatrixF32& to, bool exclude_self,
+                     std::span<double> out) {
+  if (samples.empty()) return;
+  const std::size_t dims = to.dims();
+  const std::size_t nt = to.rows();
+  FASTED_CHECK_MSG(from.dims() == dims, "calibration block dims mismatch");
+  const std::size_t per_run = nt - (exclude_self ? 1 : 0);
+  FASTED_CHECK_MSG(out.size() == samples.size() * per_run,
+                   "calibration block output size mismatch");
+
+  std::vector<double> lanes(dims * kBlockLanes);  // lanes[k][l]
+  for (std::size_t a0 = 0; a0 < samples.size(); a0 += kBlockLanes) {
+    // A short last group repeats its last sample row in the spare lanes,
+    // whose chains are discarded.
+    const std::size_t used = std::min(kBlockLanes, samples.size() - a0);
+    for (std::size_t l = 0; l < kBlockLanes; ++l) {
+      const float* row = from.row(samples[a0 + std::min(l, used - 1)]);
+      for (std::size_t k = 0; k < dims; ++k) {
+        lanes[k * kBlockLanes + l] = row[k];
+      }
+    }
+    for (std::size_t j = 0; j < nt; ++j) {
+      const float* row = to.row(j);
+      double acc[kBlockLanes] = {};
+      const double* col = lanes.data();
+      for (std::size_t k = 0; k < dims; ++k, col += kBlockLanes) {
+        const double x = row[k];
+        for (std::size_t l = 0; l < kBlockLanes; ++l) {
+          const double diff = col[l] - x;
+          acc[l] += diff * diff;
+        }
+      }
+      // Read out through a copy: indexing `acc` by the runtime lane count
+      // below would keep GCC from holding all its lanes in registers.
+      double d2[kBlockLanes];
+      std::copy_n(acc, kBlockLanes, d2);
+      for (std::size_t l = 0; l < used; ++l) {
+        const std::size_t self = samples[a0 + l];
+        if (exclude_self && j == self) continue;
+        out[(a0 + l) * per_run + (exclude_self && j > self ? j - 1 : j)] =
+            d2[l];
+      }
+    }
+  }
+}
+
 CalibrationResult calibrate_epsilon(const MatrixF32& data,
                                     double target_selectivity,
                                     std::uint64_t seed,
@@ -26,27 +75,29 @@ CalibrationResult calibrate_epsilon(const MatrixF32& data,
   const std::size_t n = data.rows();
   FASTED_CHECK_MSG(n >= 2, "calibration needs at least two points");
   FASTED_CHECK_MSG(target_selectivity > 0, "selectivity must be positive");
+  FASTED_CHECK_MSG(n - 1 <= std::numeric_limits<std::uint32_t>::max(),
+                   "calibration row ids are 32-bit");
   const std::size_t m = std::min(sample_points, n);
 
   // Sample query rows without replacement (reservoir-free: shuffle-pick).
   Rng rng(seed);
-  std::vector<std::size_t> ids(n);
-  for (std::size_t i = 0; i < n; ++i) ids[i] = i;
+  std::vector<std::uint32_t> ids(n);
+  for (std::size_t i = 0; i < n; ++i) ids[i] = static_cast<std::uint32_t>(i);
   for (std::size_t i = 0; i < m; ++i) {
     std::swap(ids[i], ids[i + rng.next_below(n - i)]);
   }
 
-  // All distances sample -> dataset (excluding self).
+  // All distances sample -> dataset (excluding self), split across threads
+  // in whole lane groups.
   std::vector<double> d2(m * (n - 1));
-  parallel_for(0, m, [&](std::size_t b, std::size_t e) {
-    for (std::size_t q = b; q < e; ++q) {
-      const float* p = data.row(ids[q]);
-      std::size_t w = q * (n - 1);
-      for (std::size_t j = 0; j < n; ++j) {
-        if (j == ids[q]) continue;
-        d2[w++] = dist2_f64(p, data.row(j), data.dims());
-      }
-    }
+  const std::span<const std::uint32_t> sample(ids.data(), m);
+  const std::span<double> runs(d2);
+  const std::size_t groups = (m + kBlockLanes - 1) / kBlockLanes;
+  parallel_for(0, groups, [&](std::size_t g0, std::size_t g1) {
+    const std::size_t b = g0 * kBlockLanes;
+    const std::size_t e = std::min(m, g1 * kBlockLanes);
+    dist2_block_f64(data, sample.subspan(b, e - b), data, /*exclude_self=*/true,
+                    runs.subspan(b * (n - 1), (e - b) * (n - 1)));
   });
 
   // Quantile such that the mean neighbor count is the target selectivity.

@@ -12,6 +12,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 
 #include "common/matrix.hpp"
 
@@ -28,9 +29,30 @@ CalibrationResult calibrate_epsilon(const MatrixF32& data,
                                     std::size_t sample_points = 256);
 
 // FP64 squared Euclidean distance between two FP32 rows — the reference
-// metric every calibration estimate is built from (the sharded corpus
-// computes its per-shard calibration sample blocks with this too).
+// metric every calibration estimate is built from.
 double dist2_f64(const float* a, const float* b, std::size_t dims);
+
+// Sample rows dist2_block_f64 runs side by side.  A caller that splits a
+// block across threads gives every piece but the last a multiple of it, or
+// lanes run empty.
+inline constexpr std::size_t kBlockLanes = 8;
+
+// A calibration block: the FP64 squared distances from the sample rows
+// `from.row(samples[a])` to every row of `to`.  Sample a's run is written to
+// out[a * per_run, (a + 1) * per_run) in ascending target row order, where
+// per_run = to.rows() - (exclude_self ? 1 : 0); with `exclude_self`, `from`
+// and `to` are the same rows and row samples[a] is skipped in run a.  `out`
+// holds samples.size() * per_run values.
+//
+// Every value is bit-identical to dist2_f64 on the same pair.  The routine
+// packs kBlockLanes sample rows column-wise as doubles and streams the
+// target rows past them, so each target row runs kBlockLanes independent
+// chains side by side; each lane is one pair's own subtract, multiply and
+// add chain in ascending k.
+void dist2_block_f64(const MatrixF32& from,
+                     std::span<const std::uint32_t> samples,
+                     const MatrixF32& to, bool exclude_self,
+                     std::span<double> out);
 
 // Exact selectivity at eps (O(n^2 d); use on small datasets / tests).
 double exact_selectivity(const MatrixF32& data, float eps);

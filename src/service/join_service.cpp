@@ -125,6 +125,8 @@ JoinService::CorpusRef JoinService::corpus_ref() const {
 }
 
 float JoinService::resolve_eps(const EpsQuery& request) {
+  // A NaN radius fails `eps >= 0` too; it must not read as "calibrate".
+  FASTED_CHECK_MSG(!std::isnan(request.eps), "eps must not be NaN");
   if (request.eps >= 0) return request.eps;
   obs::PhaseTimer timer(phases_->calibrate);
   obs::TraceSpan span("calibrate", "service");

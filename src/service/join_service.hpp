@@ -44,7 +44,8 @@ namespace fasted::service {
 struct EpsQuery {
   MatrixF32 points;
   // Search radius; negative means "calibrate from `selectivity`" using the
-  // corpus's cached calibration.
+  // corpus's cached calibration.  A NaN eps throws CheckError, and so does
+  // calibrating from a `selectivity` that is not positive (NaN included).
   float eps = -1.0f;
   double selectivity = 64.0;
   // Honored by the batched eps_join.  The streaming overload always runs

@@ -26,10 +26,10 @@ obs::ConcurrentHistogram& lifecycle_histogram(const char* op) {
 constexpr std::uint64_t kSampleSeed = 0x5ca1ab1e5e1ec7ull;
 
 // Per-shard calibration sample size: a fixed 1/16 sampling *rate* (so the
-// pooled estimate stays unbiased without reweighting games across evenly
-// sized shards), floored at 1 and capped so one huge shard cannot make
-// calibration quadratic.  The cap skews the per-shard rate, which is why
-// the pooled quantile is weight-corrected (see calibrate_over).
+// corpus-wide estimate stays unbiased without reweighting games across
+// evenly sized shards), floored at 1 and capped so one huge shard cannot
+// make calibration quadratic.  The cap skews the per-shard rate, which is
+// why the quantile is weight-corrected (see calibrate_over).
 std::size_t sample_size(std::size_t rows) {
   return std::clamp<std::size_t>(rows / 16, 1, 256);
 }
@@ -232,25 +232,28 @@ std::shared_ptr<const std::vector<double>> ShardedCorpus::block_of(
     if (it != s.calib_blocks.end()) return it->second;
   }
   // FP64 distances from s's sample rows to every row of t, self-pairs
-  // excluded when s and t are the same shard build.  The scan streams every
-  // row of t, so the guard routes it to t's owning domain — the existing
-  // parallel_for becomes domain-resident without changing its shape.
+  // excluded when s and t are the same shard build, each sample row's run
+  // sorted ascending for calibrate_over's merge walk.  The scan streams
+  // every row of t, so the guard routes it to t's owning domain.
   const bool self = s.generation == t.generation;
-  const std::size_t nt = t.rows();
-  const std::size_t per_sample = nt - (self ? 1 : 0);
-  auto block = std::make_shared<std::vector<double>>(s.sample_ids.size() *
-                                                     per_sample);
+  const std::size_t per_run = t.rows() - (self ? 1 : 0);
+  auto block =
+      std::make_shared<std::vector<double>>(s.sample_ids.size() * per_run);
   {
     ThreadPool::DomainGuard route(t.domain);
-    parallel_for(0, s.sample_ids.size(), [&](std::size_t lo, std::size_t hi) {
-      for (std::size_t a = lo; a < hi; ++a) {
-        const std::uint32_t sid = s.sample_ids[a];
-        const float* p = s.points.row(sid);
-        std::size_t w = a * per_sample;
-        for (std::size_t j = 0; j < nt; ++j) {
-          if (self && j == sid) continue;
-          (*block)[w++] = data::dist2_f64(p, t.points.row(j), t.points.dims());
-        }
+    const std::span<const std::uint32_t> samples(s.sample_ids);
+    const std::size_t m = samples.size();
+    // Split across threads in whole lane groups of sample rows.
+    parallel_for(0, div_up(m, data::kBlockLanes),
+                 [&](std::size_t g0, std::size_t g1) {
+      const std::size_t lo = g0 * data::kBlockLanes;
+      const std::size_t hi = std::min(m, g1 * data::kBlockLanes);
+      const std::span<double> runs =
+          std::span<double>(*block).subspan(lo * per_run, (hi - lo) * per_run);
+      data::dist2_block_f64(s.points, samples.subspan(lo, hi - lo), t.points,
+                            self, runs);
+      for (auto run = runs.begin(); run != runs.end(); run += per_run) {
+        std::sort(run, run + per_run);
       }
     });
   }
@@ -272,46 +275,49 @@ std::shared_ptr<const std::vector<double>> ShardedCorpus::block_of(
 float ShardedCorpus::calibrate_over(const Snapshot& snap, double target) {
   const std::size_t n = snap.back().shard->base + snap.back().shard->rows();
   FASTED_CHECK_MSG(n >= 2, "calibration needs at least two points");
-  FASTED_CHECK_MSG(target > 0, "selectivity must be positive");
 
-  // Pool every shard's sample blocks under per-shard weights that undo the
-  // (capped) sampling rates: shard s contributes P(dist <= eps | q in s)
-  // estimated from m_s sample rows x (n - 1) candidates, weighted by its
-  // population share n_s / n.  The weighted `frac` quantile of the pooled
-  // distances is then the radius whose mean neighbor count hits `target`,
-  // exactly as in data::calibrate_epsilon.
+  // A weighted quantile over every shard pair's sample block, with
+  // per-shard weights that undo the (capped) sampling rates: shard s
+  // contributes P(dist <= eps | q in s) estimated from m_s sample rows x
+  // (n - 1) candidates, weighted by its population share n_s / n.  The
+  // weighted `frac` quantile of all the blocks' distances is then the
+  // radius whose mean neighbor count hits `target`, exactly as in
+  // data::calibrate_epsilon.
   //
   // Deletes: joins filter tombstoned corpus rows, so a radius calibrated
   // over physical rows OVER-matches on a tombstoned corpus (a target of 64
   // with half the corpus dead would really land ~32 surviving neighbors).
   // The cached blocks stay delete-independent — sealed shards cache them
   // forever and a rebuild per erase would be O(sample x n x d) — so the
-  // correction is applied at pooling time instead: each candidate shard t's
+  // correction is applied at walk time instead: each candidate shard t's
   // distances keep their full weight in the quantile NORMALIZER (`total`,
   // physical candidates) but count toward the cumulative sum scaled by t's
   // alive fraction, making the crossing radius the one whose expected
   // SURVIVING neighbor count hits `target`.  With no deletes every alive
-  // fraction is 1 and the quantile is bit-identical to the uncorrected one.
-  struct Weighted {
-    double d2;
-    double w;  // per-distance weight scaled by the candidate shard's
-               // alive fraction (the cumulative-sum side)
+  // fraction is 1 and the quantile is the uncorrected one.
+  //
+  // Every block's runs (one per sample row) are sorted when the block is
+  // built, so the quantile is a heap merge of the runs from the smallest
+  // distance, ordered by (d2, block ordinal in (s, t) snapshot order), that
+  // stops at the crossing.  The order fixes the floating-point sum, and
+  // within one block every distance has the same weight, so the order
+  // among a block's equal distances cannot change it.  Nothing is copied or
+  // sorted here: the walk holds one heap entry per run.
+  struct Run {
+    double d2;            // the run's next distance
+    std::uint32_t block;  // ordinal in (s, t) snapshot order
+    double w;             // per-distance weight x t's alive fraction
+    const double* rest;   // the distances after d2
+    const double* end;
   };
-  // Blocks first (building any that are missing), so the pool is sized
-  // once instead of reallocating for every block.
+  const auto after = [](const Run& a, const Run& b) {
+    return a.d2 != b.d2 ? a.d2 > b.d2 : a.block > b.block;
+  };
+  // `blocks` keeps alive the runs the heap points into.
   std::vector<std::shared_ptr<const std::vector<double>>> blocks;
   blocks.reserve(snap.size() * snap.size());
-  std::size_t pooled = 0;
-  for (const ShardSlot& sslot : snap) {
-    for (const ShardSlot& tslot : snap) {
-      blocks.push_back(block_of(*sslot.shard, *tslot.shard));
-      pooled += blocks.back()->size();
-    }
-  }
-  std::vector<Weighted> pool;
-  pool.reserve(pooled);
-  double total = 0;  // unscaled pool weight (the normalizer side)
-  auto block = blocks.begin();
+  std::vector<Run> heap;
+  double total = 0;  // unscaled weight of every distance (the normalizer)
   for (const ShardSlot& sslot : snap) {
     const Shard& s = *sslot.shard;
     const double share = static_cast<double>(s.rows()) / static_cast<double>(n);
@@ -324,29 +330,45 @@ float ShardedCorpus::calibrate_over(const Snapshot& snap, double target) {
           t_rows == 0 ? 1.0
                       : static_cast<double>(t_rows - tslot.dead_count) /
                             static_cast<double>(t_rows);
-      const double alive_dist = per_dist * alive_frac;
-      for (const double d2 : **block) {
-        pool.push_back(Weighted{d2, alive_dist});
+      const auto ordinal = static_cast<std::uint32_t>(blocks.size());
+      const double w = per_dist * alive_frac;
+      blocks.push_back(block_of(s, *tslot.shard));
+      const std::vector<double>& block = *blocks.back();
+      total += per_dist * static_cast<double>(block.size());
+      const std::size_t per_run = block.size() / s.sample_ids.size();
+      for (const double* run = block.data(); run != block.data() + block.size();
+           run += per_run) {
+        heap.push_back(Run{run[0], ordinal, w, run + 1, run + per_run});
       }
-      total += per_dist * static_cast<double>((*block)->size());
-      ++block;
     }
   }
-  std::sort(pool.begin(), pool.end(),
-            [](const Weighted& a, const Weighted& b) { return a.d2 < b.d2; });
+  std::make_heap(heap.begin(), heap.end(), after);
 
   const double frac =
       std::min(1.0, target / static_cast<double>(n - 1));
   const double cut = frac * total;
   double cum = 0;
-  for (const Weighted& x : pool) {
-    cum += x.w;
-    if (cum >= cut) return static_cast<float>(std::sqrt(x.d2));
+  double largest = 0;
+  while (!heap.empty()) {
+    std::pop_heap(heap.begin(), heap.end(), after);
+    Run& next = heap.back();
+    cum += next.w;
+    if (cum >= cut) return static_cast<float>(std::sqrt(next.d2));
+    largest = next.d2;
+    if (next.rest == next.end) {
+      heap.pop_back();
+    } else {
+      next.d2 = *next.rest++;
+      std::push_heap(heap.begin(), heap.end(), after);
+    }
   }
-  return static_cast<float>(std::sqrt(pool.back().d2));
+  return static_cast<float>(std::sqrt(largest));
 }
 
 float ShardedCorpus::eps_for_selectivity(double target) {
+  // Checked before the cache lookup, which a NaN would otherwise pass:
+  // std::map::find(NaN) matches the first entry.
+  FASTED_CHECK_MSG(target > 0, "selectivity must be positive");
   std::shared_ptr<const Snapshot> snap;
   std::uint64_t epoch;
   {
@@ -361,6 +383,9 @@ float ShardedCorpus::eps_for_selectivity(double target) {
   }
   // Estimate outside the lock: block builds are O(sample * n * d) and must
   // not serialize concurrent requests for already-cached targets.
+  static obs::ConcurrentHistogram& hist = lifecycle_histogram("calibrate");
+  obs::PhaseTimer timer(hist);
+  obs::TraceSpan span("calibrate_miss", "lifecycle");
   const float eps = calibrate_over(*snap, target);
   std::lock_guard<std::mutex> lock(mutex_);
   ++stats_.calibration_misses;
@@ -477,8 +502,8 @@ std::size_t ShardedCorpus::erase(std::span<const std::uint32_t> ids) {
 
   // Deletes change the alive fractions the calibration quantile is scaled
   // by, so cached target -> eps entries are stale; the FP64 distance blocks
-  // themselves are delete-independent and survive (calibrate_over re-pools
-  // them under the new fractions — no block rebuilds).
+  // themselves are delete-independent and survive (calibrate_over walks
+  // them again under the new fractions — no block rebuilds).
   publish(std::move(next), /*invalidate_calibration=*/true);
   std::lock_guard<std::mutex> lock(mutex_);
   ++stats_.erases;

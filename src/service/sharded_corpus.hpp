@@ -40,9 +40,12 @@
 // Calibration is the one corpus-global artifact.  It is decomposed into
 // per-shard-pair distance blocks: shard s keeps a deterministic sample of
 // its rows, and block (s, t) holds the FP64 distances from s's sample to
-// every row of t.  eps_for_selectivity pools the blocks under a weighted
-// quantile (weights undo the per-shard sampling rates).  An append replaces
-// only the open shard, so exactly the blocks involving that shard (and the
+// every row of t, one run per sample row, sorted once when the block is
+// built.  eps_for_selectivity takes a weighted quantile over all blocks
+// (weights undo the per-shard sampling rates) by a heap merge of the runs
+// that stops at the crossing, so a miss costs the blocks it builds plus a
+// walk to the quantile — no pooled copy, no sort.  An append replaces only
+// the open shard, so exactly the blocks involving that shard (and the
 // cached target -> eps map) are invalidated; blocks between sealed shards
 // are reused forever.
 
@@ -241,7 +244,7 @@ class ShardedCorpus {
   // the number of NEWLY dead rows.  Deleting every row is legal: joins
   // then return no matches (compact() however refuses to produce an empty
   // corpus).  Calibration is delete-aware: the cached target -> eps entries
-  // are invalidated (the next eps_for_selectivity re-pools the UNCHANGED
+  // are invalidated (the next eps_for_selectivity walks the UNCHANGED
   // cached distance blocks with per-shard alive fractions scaling the
   // quantile), so selectivity targets keep meaning surviving neighbors on
   // a tombstoned corpus.
@@ -286,7 +289,8 @@ class ShardedCorpus {
   // Swap in a new snapshot and drop calibration blocks keyed to shard
   // generations it no longer contains.  Callers hold append_mutex_.
   void publish(Snapshot next, bool invalidate_calibration);
-  // The (sample of s) x (rows of t) squared-distance block, cached on s.
+  // The (sample of s) x (rows of t) squared-distance block, cached on s:
+  // one ascending run of t's distances (self excluded) per sample row.
   std::shared_ptr<const std::vector<double>> block_of(const Shard& s,
                                                       const Shard& t);
   float calibrate_over(const Snapshot& snap, double target);
@@ -336,7 +340,8 @@ class ShardedCorpus::Shard {
   friend class ShardedCorpus;
   mutable std::mutex cache_mutex;  // guards calib_blocks
   // Calibration blocks keyed by the TARGET shard's generation: distances
-  // from this shard's sample rows to every row of that shard.  Entries for
+  // from this shard's sample rows to every row of that shard, one run per
+  // sample row in sample_ids order, each run sorted ascending.  Entries for
   // dead generations are pruned after each append.
   mutable std::unordered_map<std::uint64_t,
                              std::shared_ptr<const std::vector<double>>>

@@ -2,11 +2,65 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <vector>
+
 #include "common/check.hpp"
+#include "common/rng.hpp"
 #include "data/generators.hpp"
 
 namespace fasted::data {
 namespace {
+
+// Values spread over 24 binades, so a reassociated or fused step in the
+// lanes would change the rounding of some distance.
+MatrixF32 spread_rows(std::size_t n, std::size_t d, std::uint64_t seed) {
+  Rng rng(seed);
+  MatrixF32 m(n, d);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t k = 0; k < d; ++k) {
+      const int exp = static_cast<int>(rng.next_below(24)) - 12;
+      m.at(i, k) = static_cast<float>(rng.uniform(-1.0, 1.0) *
+                                      std::ldexp(1.0, exp));
+    }
+  }
+  return m;
+}
+
+// dist2_block_f64 equals dist2_f64 bit for bit, with row counts that are
+// not a multiple of the lane width, a short last lane group, and the
+// skipped self row at the first, middle and last position.
+TEST(Dist2Block, BitIdenticalToScalarReference) {
+  for (const std::size_t d : {1, 3, 8, 128, 960}) {
+    const MatrixF32 rows = spread_rows(13, d, 100 + d);
+    // One full lane group plus 3; rows 0, 6 and 12 skip themselves first,
+    // in the middle and last.
+    const std::vector<std::uint32_t> self = {0, 1, 2, 4, 5, 6, 7, 9, 10, 11, 12};
+    std::vector<double> out(self.size() * (rows.rows() - 1));
+    dist2_block_f64(rows, self, rows, /*exclude_self=*/true, out);
+    for (std::size_t a = 0; a < self.size(); ++a) {
+      std::size_t w = a * (rows.rows() - 1);
+      for (std::size_t j = 0; j < rows.rows(); ++j) {
+        if (j == self[a]) continue;
+        EXPECT_EQ(out[w++], dist2_f64(rows.row(self[a]), rows.row(j), d))
+            << "d " << d << ", sample row " << self[a] << ", row " << j;
+      }
+    }
+
+    // Targets from another matrix: nothing skipped.
+    const MatrixF32 targets = spread_rows(21, d, 200 + d);
+    const std::vector<std::uint32_t> picked = {12, 0, 6};
+    std::vector<double> cross(picked.size() * targets.rows());
+    dist2_block_f64(rows, picked, targets, /*exclude_self=*/false, cross);
+    for (std::size_t a = 0; a < picked.size(); ++a) {
+      for (std::size_t j = 0; j < targets.rows(); ++j) {
+        EXPECT_EQ(cross[a * targets.rows() + j],
+                  dist2_f64(rows.row(picked[a]), targets.row(j), d))
+            << "d " << d << ", sample row " << picked[a] << ", target " << j;
+      }
+    }
+  }
+}
 
 TEST(Calibrate, HitsTargetSelectivityOnUniform) {
   const auto m = uniform(2000, 8, 11);

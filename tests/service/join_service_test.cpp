@@ -477,6 +477,20 @@ TEST(JoinService, RejectsBadRequests) {
   bad_k.k = 0;
   EXPECT_THROW(svc.knn(bad_k), CheckError);
 
+  // NaN fails `eps >= 0` but must not read as "calibrate".
+  EpsQuery nan_eps;
+  nan_eps.points = data::uniform(10, 8, 67);
+  nan_eps.eps = std::numeric_limits<float>::quiet_NaN();
+  EXPECT_THROW(svc.eps_join(nan_eps), CheckError);
+
+  // A NaN selectivity fails even once the calibration cache is warm.
+  EpsQuery calibrated;
+  calibrated.points = data::uniform(10, 8, 68);
+  calibrated.selectivity = 8.0;
+  svc.eps_join(calibrated);
+  calibrated.selectivity = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(svc.eps_join(calibrated), CheckError);
+
   EXPECT_THROW(JoinService(std::shared_ptr<ShardedCorpus>()), CheckError);
 }
 

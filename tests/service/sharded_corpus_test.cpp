@@ -8,11 +8,14 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <limits>
 #include <thread>
 
+#include "../service_reference.hpp"
 #include "common/check.hpp"
 #include "data/calibrate.hpp"
 #include "data/generators.hpp"
+#include "obs/metrics.hpp"
 
 namespace fasted::service {
 namespace {
@@ -124,17 +127,24 @@ TEST(ShardedCorpus, CalibrationBlocksAreReusedAcrossAppends) {
   opts.shard_capacity = 100;
   ShardedCorpus corpus{row_slice(data, 0, 250), opts};
   const std::size_t k = 3;  // shards: sealed, sealed, open
+  // Misses also land in the process-global lifecycle.calibrate histogram;
+  // hits do not.
+  const obs::ConcurrentHistogram& misses =
+      obs::Registry::global().histogram("lifecycle.calibrate");
+  const std::uint64_t recorded = misses.snapshot().count();
 
   // First calibration builds every (sample shard x target shard) block.
   const float eps1 = corpus.eps_for_selectivity(32.0);
   EXPECT_GT(eps1, 0.0f);
   EXPECT_EQ(corpus.stats().calibration_blocks_built, k * k);
   EXPECT_EQ(corpus.stats().calibration_misses, 1u);
+  EXPECT_EQ(misses.snapshot().count(), recorded + 1);
 
   // Cached target: no new blocks, a hit.
   EXPECT_EQ(corpus.eps_for_selectivity(32.0), eps1);
   EXPECT_EQ(corpus.stats().calibration_hits, 1u);
   EXPECT_EQ(corpus.stats().calibration_blocks_built, k * k);
+  EXPECT_EQ(misses.snapshot().count(), recorded + 1);
 
   // Append replaces only the open shard; recalibration must rebuild ONLY
   // the blocks involving it: (k-1) sealed->new + new->(k-1) sealed + 1
@@ -144,6 +154,7 @@ TEST(ShardedCorpus, CalibrationBlocksAreReusedAcrossAppends) {
   EXPECT_GT(eps2, 0.0f);
   EXPECT_EQ(corpus.stats().calibration_blocks_built, k * k + 2 * k - 1);
   EXPECT_EQ(corpus.stats().calibration_misses, 2u);
+  EXPECT_EQ(misses.snapshot().count(), recorded + 2);
 
   // The calibrated radius lands near the requested selectivity (it is a
   // sampled estimate) — verify against the exact count.
@@ -196,6 +207,86 @@ TEST(ShardedCorpus, CalibrationIsDeleteAwareWithoutBlockRebuilds) {
   EXPECT_LT(achieved, target * 2.0);
 }
 
+// The merge walk over sorted runs sums the same weights in the same
+// (d2, block) order as one sort of the whole pool, so eps_for_selectivity
+// equals the pooled reference bit for bit: on uniform rows (few tied
+// distances) and integer-valued sift_like rows (many), across appends that
+// seal and open shards, erases and a compaction that drops rows.
+TEST(ShardedCorpus, CalibrationMatchesPooledReference) {
+  for (const bool ties : {false, true}) {
+    const MatrixF32 data =
+        ties ? data::sift_like(900, 83) : data::uniform(900, 8, 83);
+    ShardedCorpusOptions opts;
+    opts.shard_capacity = 256;
+    ShardedCorpus corpus{row_slice(data, 0, 600), opts};  // 256, 256, 88
+    const auto check = [&](const char* step) {
+      const auto snap = corpus.snapshot();
+      const double all = static_cast<double>(corpus.size());  // >= n - 1
+      for (const double target : {4.0, 64.0, 300.0, all}) {
+        EXPECT_EQ(corpus.eps_for_selectivity(target),
+                  reference::calibration_reference(*snap, target))
+            << (ties ? "sift_like " : "uniform ") << step << ", target "
+            << target;
+      }
+    };
+    check("bulk split");
+    corpus.append(row_slice(data, 600, 800));  // seals 256, opens 32
+    check("append");
+    std::vector<std::uint32_t> dead;
+    for (std::uint32_t id = 3; id < 800; id += 5) dead.push_back(id);
+    corpus.erase(dead);
+    check("erase");
+    corpus.append(row_slice(data, 800, 900));
+    check("append after erase");
+    CompactOptions compact;
+    compact.shard_capacity = 200;
+    compact.dead_fraction = 0.1;
+    ASSERT_GT(corpus.compact(compact).rows_dropped, 0u);
+    check("compaction");
+  }
+}
+
+// A crossing inside a tie group whose distances carry different weights,
+// derived by hand.  Shard 0 holds 16 copies of A = (0, 0), shard 1 eight
+// copies of B = (3, 4), so |A - B|^2 = 25.  Each shard samples one row;
+// with n = 24 a distance from shard 0's sample weighs w0 = (16/24)/23 =
+// 2/69 and one from shard 1's w1 = (8/24)/23 = 1/69, and the total weight
+// is 23 w0 + 23 w1 = 1.  In (d2, block) order the walk sums
+//   d2 = 0:  block (0,0) 15 x w0 = 30/69, block (1,1) 7 x w1 = 7/69
+//   d2 = 25: block (0,1)  8 x w0 = 16/69, block (1,0) 16 x w1 = 16/69
+// against cut = target / 23 = 3 target / 69.
+TEST(ShardedCorpus, CalibrationCrossesInsideWeightedTieGroup) {
+  MatrixF32 rows(24, 2);
+  for (std::size_t i = 16; i < 24; ++i) {
+    rows.at(i, 0) = 3.0f;
+    rows.at(i, 1) = 4.0f;
+  }
+  ShardedCorpusOptions opts;
+  opts.shard_capacity = 16;
+  ShardedCorpus corpus{MatrixF32(rows), opts};
+  ASSERT_EQ(corpus.shard_count(), 2u);
+  const auto expect = [&](double target, float eps) {
+    EXPECT_EQ(corpus.eps_for_selectivity(target), eps) << "target " << target;
+    EXPECT_EQ(reference::calibration_reference(*corpus.snapshot(), target),
+              eps)
+        << "target " << target;
+  };
+  // No cut below sits on a partial sum.
+  expect(6.2, 0.0f);   // cut 18.6/69: inside block (0,0)
+  expect(11.8, 0.0f);  // cut 35.4/69: inside block (1,1)
+  expect(14.0, 5.0f);  // cut 42/69: inside block (0,1), d2 = 25
+  expect(19.8, 5.0f);  // cut 59.4/69: inside block (1,0), d2 = 25
+
+  // Erasing half of shard 1 halves the cumulative weight of its candidates
+  // (the normalizer keeps it): d2 = 0 now sums 30/69 + 3.5/69 = 33.5/69,
+  // and d2 = 25 adds 8/69 + 16/69 to end at 57.5/69.
+  const std::uint32_t half[] = {16, 17, 18, 19};
+  ASSERT_EQ(corpus.erase(half), 4u);
+  expect(10.4, 0.0f);  // cut 31.2/69: inside block (1,1)
+  expect(11.8, 5.0f);  // cut 35.4/69: moves into block (0,1)
+  expect(20.0, 5.0f);  // cut 60/69 is never reached: the largest distance
+}
+
 TEST(ShardedCorpus, ConcurrentReadersDuringAppendAreSafe) {
   const auto data = data::uniform(600, 8, 77);
   ShardedCorpusOptions opts;
@@ -238,6 +329,17 @@ TEST(ShardedCorpus, RejectsBadInputs) {
   EXPECT_THROW(corpus.append(MatrixF32(0, 8)), CheckError);
   EXPECT_THROW(corpus.append(MatrixF32(5, 4)), CheckError);  // dims mismatch
   EXPECT_THROW(corpus.prepared(3), CheckError);
+
+  // A NaN target fails on a warm cache too: std::map::find(NaN) would
+  // match the first cached entry.
+  corpus.eps_for_selectivity(8.0);
+  corpus.eps_for_selectivity(32.0);
+  const auto hits = corpus.stats().calibration_hits;
+  EXPECT_THROW(
+      corpus.eps_for_selectivity(std::numeric_limits<double>::quiet_NaN()),
+      CheckError);
+  EXPECT_THROW(corpus.eps_for_selectivity(0.0), CheckError);
+  EXPECT_EQ(corpus.stats().calibration_hits, hits);
 }
 
 }  // namespace

@@ -9,6 +9,12 @@
 //                  query_row_join with eps2 = +inf on the scalar kernel
 //                  (whatever kernel the service runs); distances are
 //                  sqrt(max(0, dist2)), the float the service reports.
+//   calibration_reference
+//                  ShardedCorpus::eps_for_selectivity's weighted quantile
+//                  from one pooled sort: every sample-row distance rebuilt
+//                  with scalar data::dist2_f64 from the public
+//                  Shard::points and sample_ids, sorted by (d2, block
+//                  ordinal in (s, t) snapshot order) and summed in order.
 
 #pragma once
 
@@ -20,7 +26,9 @@
 
 #include "common/matrix.hpp"
 #include "core/fasted.hpp"
+#include "data/calibrate.hpp"
 #include "service/join_service.hpp"
+#include "service/sharded_corpus.hpp"
 
 namespace fasted::reference {
 
@@ -55,6 +63,56 @@ inline service::KnnBatchResult knn_reference(const MatrixF32& corpus,
     }
   }
   return out;
+}
+
+inline float calibration_reference(
+    const service::ShardedCorpus::Snapshot& snap, double target) {
+  struct Weighted {
+    double d2;
+    std::size_t block;  // ordinal in (s, t) snapshot order
+    double w;           // per-distance weight x alive fraction of t
+  };
+  const std::size_t n = snap.back().shard->base + snap.back().shard->rows();
+  std::vector<Weighted> pool;
+  double total = 0;
+  std::size_t block = 0;
+  for (std::size_t si = 0; si < snap.size(); ++si) {
+    const auto& s = *snap[si].shard;
+    const double per_dist =
+        static_cast<double>(s.rows()) / static_cast<double>(n) /
+        (static_cast<double>(s.sample_ids.size()) *
+         static_cast<double>(n - 1));
+    for (std::size_t ti = 0; ti < snap.size(); ++ti, ++block) {
+      const auto& t = *snap[ti].shard;
+      const double alive =
+          static_cast<double>(t.rows() - snap[ti].dead_count) /
+          static_cast<double>(t.rows());
+      std::size_t count = 0;
+      for (const std::uint32_t sid : s.sample_ids) {
+        for (std::size_t j = 0; j < t.rows(); ++j) {
+          if (si == ti && j == sid) continue;
+          pool.push_back(Weighted{
+              data::dist2_f64(s.points.row(sid), t.points.row(j),
+                              s.points.dims()),
+              block, per_dist * alive});
+          ++count;
+        }
+      }
+      total += per_dist * static_cast<double>(count);
+    }
+  }
+  std::sort(pool.begin(), pool.end(),
+            [](const Weighted& a, const Weighted& b) {
+              return a.d2 != b.d2 ? a.d2 < b.d2 : a.block < b.block;
+            });
+  const double cut =
+      std::min(1.0, target / static_cast<double>(n - 1)) * total;
+  double cum = 0;
+  for (const Weighted& x : pool) {
+    cum += x.w;
+    if (cum >= cut) return static_cast<float>(std::sqrt(x.d2));
+  }
+  return static_cast<float>(std::sqrt(pool.back().d2));
 }
 
 }  // namespace fasted::reference
