@@ -15,27 +15,12 @@
 //
 //   bench_join_throughput [corpus_n] [dims] [query_batch] [reps]
 //                         (defaults 4096 64 1024 3)
-//
-// Large tier (memory-resident million-row corpus, query joins only — a
-// million-row SELF-join is ~5e11 distance evaluations and has no place on
-// a host CPU):
-//
-//   bench_join_throughput --large [corpus_n] [dims] [query_batch] [reps]
-//                         (defaults 1048576 32 512 2)
-//
-// The large tier runs the resident query join on the default schedule and
-// on the autotuned schedule (tune/autotuner.hpp), monolithic and sharded,
-// and writes BENCH_large.json with the tuned/default ratios plus the
-// tuner's predicted-vs-measured table.  It is NOT regression-gated (wall
-// times at this scale are too machine-dependent); the nightly workflow
-// records it into the history dashboard instead.
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <span>
 #include <string>
@@ -54,7 +39,6 @@
 #include "serve/batch_gateway.hpp"
 #include "service/join_service.hpp"
 #include "service/sharded_corpus.hpp"
-#include "tune/autotuner.hpp"
 
 using namespace fasted;
 
@@ -123,147 +107,9 @@ void json_entry(FILE* f, const char* label, const Measurement& m) {
                static_cast<unsigned long long>(m.latency.quantile_ns(0.99)));
 }
 
-// Large tier: memory-resident corpus at the million-row scale, resident
-// query joins on the default vs. the autotuned schedule.  Returns the
-// process exit code.
-int run_large_tier(int argc, char** argv) {
-  // argv[1] is "--large"; positional overrides follow it.
-  const std::size_t n =
-      argc > 2 ? std::strtoull(argv[2], nullptr, 10) : (std::size_t{1} << 20);
-  const std::size_t d = argc > 3 ? std::strtoull(argv[3], nullptr, 10) : 32;
-  const std::size_t batch =
-      argc > 4 ? std::strtoull(argv[4], nullptr, 10) : 512;
-  const std::size_t reps = argc > 5 ? std::strtoull(argv[5], nullptr, 10) : 2;
-
-  bench::header("Large-tier query-join throughput (autotuned vs default)",
-                "million-row resident corpus; schedule search via "
-                "perf-model pruning + measured probes (tune/)");
-  const kernels::RzDotKernel& simd = kernels::KernelRegistry::global().best();
-  ThreadPool& pool = ThreadPool::global();
-  const std::size_t domains = pool.domain_count();
-  std::printf("corpus %zu x %zu dims, query batch %zu, reps %zu, "
-              "%zu domain%s, kernel %s\n\n",
-              n, d, batch, reps, domains, domains == 1 ? "" : "s", simd.name);
-
-  const double gen_start = now_s();
-  const auto corpus_data = data::uniform(n, d, 42);
-  const auto query_data = data::uniform(batch, d, 4242);
-  const float eps = data::calibrate_epsilon(corpus_data, 64.0).eps;
-  std::printf("generated + calibrated (eps=%.5g) in %.1f s\n",
-              static_cast<double>(eps), now_s() - gen_start);
-
-  // Schedule search on a sample of the real corpus, targeting its full
-  // size.  The report's fallback IS the default schedule, measured on the
-  // same probes — so the tuned/default ratios below compare like to like.
-  tune::AutoTuner tuner;
-  const double tune_start = now_s();
-  const tune::TuneReport report =
-      tuner.tune(corpus_data, n, domains, eps);
-  std::printf("autotuned in %.1f s (%zu schedules, %zu probes)\n",
-              now_s() - tune_start, report.space_size, report.probes);
-  std::printf("%s", report.table().c_str());
-  std::printf("chosen: %s\n\n", report.best.describe().c_str());
-
-  const FastedConfig default_cfg;
-  const FastedConfig tuned_cfg = report.best.apply(default_cfg);
-  const FastedEngine default_engine(default_cfg);
-  const FastedEngine tuned_engine(tuned_cfg);
-  JoinOptions count_only;
-  count_only.build_result = false;
-  const double query_evals =
-      static_cast<double>(batch) * static_cast<double>(n);
-
-  const PreparedDataset queries(query_data);
-  const PreparedDataset corpus(corpus_data);
-  const Measurement mono_default =
-      measure(simd.name, query_evals, reps, [&] {
-        return default_engine.query_join(queries, corpus, eps, count_only)
-            .pair_count;
-      });
-  print_row("mono/default", mono_default);
-  const Measurement mono_tuned = measure(simd.name, query_evals, reps, [&] {
-    return tuned_engine.query_join(queries, corpus, eps, count_only)
-        .pair_count;
-  });
-  print_row("mono/tuned", mono_tuned);
-
-  // Sharded: default = one shard per domain (the PR 4 placement); tuned =
-  // the schedule's shard capacity.  Each layout is prepared fresh so
-  // first-touch placement matches what is measured.
-  const std::size_t default_shards = std::max<std::size_t>(1, domains);
-  const std::size_t tuned_shards =
-      report.best.shard_capacity == 0
-          ? default_shards
-          : std::max<std::size_t>(
-                1, (n + report.best.shard_capacity - 1) /
-                       report.best.shard_capacity);
-  Measurement sharded_default;
-  {
-    const PreparedShards set = prepare_shards(corpus_data, default_shards);
-    sharded_default = measure(simd.name, query_evals, reps, [&] {
-      return default_engine.query_join(queries, set.span(), eps, count_only)
-          .pair_count;
-    });
-  }
-  char label[32];
-  std::snprintf(label, sizeof label, "shard%zu/default", default_shards);
-  print_row(label, sharded_default);
-  Measurement sharded_tuned;
-  {
-    const PreparedShards set = prepare_shards(corpus_data, tuned_shards);
-    sharded_tuned = measure(simd.name, query_evals, reps, [&] {
-      return tuned_engine.query_join(queries, set.span(), eps, count_only)
-          .pair_count;
-    });
-  }
-  std::snprintf(label, sizeof label, "shard%zu/tuned", tuned_shards);
-  print_row(label, sharded_tuned);
-
-  const double mono_ratio = mono_default.seconds / mono_tuned.seconds;
-  const double sharded_ratio =
-      sharded_default.seconds / sharded_tuned.seconds;
-  std::printf("\ntuned over default: mono %.3fx, sharded %.3fx\n", mono_ratio,
-              sharded_ratio);
-
-  FILE* f = std::fopen("BENCH_large.json", "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write BENCH_large.json\n");
-    return 1;
-  }
-  std::fprintf(f, "{\n");
-  std::fprintf(f,
-               "  \"config\": {\"corpus_n\": %zu, \"dims\": %zu, "
-               "\"query_batch\": %zu, \"reps\": %zu, \"eps\": %.6g, "
-               "\"domains\": %zu, \"simd_kernel\": \"%s\"},\n",
-               n, d, batch, reps, static_cast<double>(eps), domains,
-               simd.name);
-  std::fprintf(f, "  \"large_query_join\": {\n");
-  json_entry(f, "mono_default", mono_default);
-  json_entry(f, "mono_tuned", mono_tuned);
-  json_entry(f, "sharded_default", sharded_default);
-  json_entry(f, "sharded_tuned", sharded_tuned);
-  std::fprintf(f,
-               "    \"default_shards\": %zu, \"tuned_shards\": %zu,\n"
-               "    \"tuned_over_default_mono\": %.3f,\n"
-               "    \"tuned_over_default_sharded\": %.3f\n  },\n",
-               default_shards, tuned_shards, mono_ratio, sharded_ratio);
-  std::fprintf(f, "  \"autotune\": %s\n", report.json().c_str());
-  std::fprintf(f, "}\n");
-  std::fclose(f);
-  std::printf("wrote BENCH_large.json\n");
-
-  bench::note("large tier is not regression-gated: wall times at this scale "
-              "are machine-bound; the nightly job trends them in the "
-              "history dashboard instead");
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc > 1 && std::strcmp(argv[1], "--large") == 0) {
-    return run_large_tier(argc, argv);
-  }
   const std::size_t n = argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 4096;
   const std::size_t d = argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 64;
   const std::size_t batch =

@@ -49,7 +49,7 @@ struct DomainLoad {
   std::uint64_t tiles_stolen = 0;   // by other domains' workers
   // Wall time spent inside those tiles (summed across workers, so a value
   // can exceed elapsed time).  Not part of total(): the rebalance policy
-  // keys on tile counts; time-in-phase is the operator/autotuner signal.
+  // keys on tile counts; time-in-phase is the operator's signal.
   std::uint64_t drain_ns = 0;
   std::uint64_t steal_ns = 0;
   std::uint64_t total() const { return tiles_drained + tiles_stolen; }

@@ -134,6 +134,10 @@ SelfJoinResult load_result(const std::string& path) {
   FASTED_CHECK_MSG(offsets.front() == 0 && offsets.back() == pairs &&
                        std::is_sorted(offsets.begin(), offsets.end()),
                    "corrupt CSR offsets: " + path);
+  // Ids index the n points; consumers (dbscan_from_join) index by them.
+  FASTED_CHECK_MSG(std::all_of(neighbors.begin(), neighbors.end(),
+                               [n](std::uint32_t id) { return id < n; }),
+                   "result neighbor id out of range: " + path);
 
   std::vector<std::vector<std::uint32_t>> rows(n);
   for (std::size_t i = 0; i < n; ++i) {

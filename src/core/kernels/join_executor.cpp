@@ -25,13 +25,10 @@ namespace {
 // second copy of the whole result set.
 constexpr std::size_t kFlushThreshold = 1 << 16;
 
-// Cross-domain stealing: a tuned schedule pins it on or off via the config
-// (StealMode::kOn/kOff); otherwise FASTED_STEAL decides (on unless it says
-// 0/off/false) — the topology property tests exercise both modes, and
-// operators can demand strict placement when profiling per-domain bandwidth.
-bool steal_enabled(StealMode mode) {
-  if (mode == StealMode::kOn) return true;
-  if (mode == StealMode::kOff) return false;
+// Cross-domain stealing is on unless FASTED_STEAL says 0/off/false.  The
+// topology and config invariance tests run both modes, and operators can
+// demand strict placement when profiling per-domain bandwidth.
+bool steal_enabled() {
   const char* env = std::getenv("FASTED_STEAL");
   if (env == nullptr) return true;
   return !(std::strcmp(env, "0") == 0 || std::strcmp(env, "off") == 0 ||
@@ -97,7 +94,7 @@ std::uint64_t execute_join(const FastedConfig& cfg,
   // the drain as flat so no partition is orphaned when stealing is off.
   const std::size_t ndom =
       ThreadPool::dispatch_confined() ? 1 : pool.domain_count();
-  const bool steal = ndom > 1 && steal_enabled(cfg.steal_mode);
+  const bool steal = ndom > 1 && steal_enabled();
 
   // Route each entry to the domain owning its corpus-side shard.  On the
   // flat single-domain pool everything lands in one list and the loop below

@@ -32,12 +32,12 @@ constexpr Variant kVariants[] = {
 };
 
 // Variants that no longer exist.  Selections naming them stay valid so
-// persisted schedules and scripts keep loading; they resolve like any
+// configs and scripts that name them keep working; they resolve like any
 // unsupported name (warn once, fall back to the per-domain best).
 constexpr const char* kRetired[] = {"avx512fp16"};
 
 // A selection naming a variant this build/CPU cannot run falls back to the
-// per-domain best — once per distinct name, so a schedule replayed across
+// per-domain best — once per distinct name, so a selection replayed across
 // thousands of serves does not spam stderr.
 void warn_selection_fallback(const std::string& name) {
   static std::mutex mu;

@@ -20,13 +20,13 @@
 //                    Tests build scoped contexts directly; nothing is
 //                    pinned behind anyone's back.
 //
-// Selection strings (FastedConfig::rz_kernel, tune::Schedule::kernel):
+// Selection strings (FastedConfig::rz_kernel, fasted_cli --kernel):
 //   "auto" (or "")      every domain gets the widest variant its own pinned
 //                       workers support (ThreadPool::domain_features).
 //   "scalar"            one name pins every domain.
 //   "scalar,avx2"       a comma list assigns entry d to domain d (modulo
 //                       the list length) — heterogeneous per-domain
-//                       assignments, expressible through config/Schedule
+//                       assignments, expressible through the config
 //                       even on homogeneous machines.
 // A selected name this build or CPU cannot run warns once per name on
 // stderr and falls back to that domain's best — a pinned run is never
@@ -95,9 +95,9 @@ class KernelRegistry {
 };
 
 // True iff `selection` is syntactically valid: empty, "auto", a known
-// variant name, or a comma list of those.  Config/Schedule validation uses
-// this — an unknown name in a PERSISTED selection should fail loudly at
-// load time, not warn at join time.
+// variant name, or a comma list of those.  FastedConfig::validate and the
+// CLI use this — an unknown name should fail loudly up front, not warn at
+// join time.
 bool kernel_selection_known(const std::string& selection);
 
 class KernelContext {

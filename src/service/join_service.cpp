@@ -15,7 +15,6 @@
 #include "core/kernels/merging_sink.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "tune/autotuner.hpp"
 
 namespace fasted::service {
 
@@ -31,13 +30,8 @@ bool rank_less(const QueryMatch& a, const QueryMatch& b) {
 JoinService::JoinService(std::shared_ptr<ShardedCorpus> corpus,
                          FastedEngine engine)
     : shards_(std::move(corpus)), engine_(std::move(engine)),
-      base_config_(engine_.config()),
       pool_baseline_(ThreadPool::global().domain_load_snapshot()) {
   FASTED_CHECK_MSG(shards_ != nullptr, "JoinService needs a sharded corpus");
-  last_tuned_rows_ = shards_->size();
-  schedule_ = tune::Schedule::defaults(base_config_, last_tuned_rows_,
-                                       shards_->placement_domains());
-  schedule_.shard_capacity = shards_->shard_capacity();
 }
 
 std::unique_lock<std::mutex> JoinService::admit() {
@@ -46,72 +40,6 @@ std::unique_lock<std::mutex> JoinService::admit() {
   // The lock is acquired while constructing the return value; `wait` and
   // `span` are destroyed after it, so both record the full queueing time.
   return std::unique_lock<std::mutex>(serve_mutex_);
-}
-
-void JoinService::set_schedule(const tune::Schedule& schedule,
-                               bool rechunk_shards) {
-  std::unique_lock<std::mutex> serve = admit();
-  engine_ = FastedEngine(schedule.apply(base_config_));
-  if (rechunk_shards && schedule.shard_capacity != 0 &&
-      schedule.shard_capacity != shards_->shard_capacity()) {
-    CompactOptions copts;
-    copts.shard_capacity = schedule.shard_capacity;
-    // Re-chunk only: a schedule change must never renumber rows, so the
-    // tombstone-drop threshold is pushed past 100% dead.
-    copts.dead_fraction = 2.0;
-    shards_->compact(copts);
-  }
-  std::lock_guard<std::mutex> lock(stats_mutex_);
-  schedule_ = schedule;
-  last_tuned_rows_ = shards_->size();
-}
-
-tune::Schedule JoinService::schedule() const {
-  std::lock_guard<std::mutex> lock(stats_mutex_);
-  return schedule_;
-}
-
-void JoinService::enable_regime_retune(bool on, double factor) {
-  std::lock_guard<std::mutex> lock(stats_mutex_);
-  retune_enabled_ = on;
-  retune_factor_ = std::max(1.0, factor);
-}
-
-void JoinService::maybe_retune(std::size_t rows) {
-  double factor;
-  std::size_t last;
-  {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    if (!retune_enabled_) return;
-    factor = retune_factor_;
-    last = last_tuned_rows_;
-  }
-  if (rows == 0) return;
-  if (last != 0) {
-    const double ratio =
-        static_cast<double>(rows) / static_cast<double>(last);
-    if (ratio < factor && ratio > 1.0 / factor) return;
-  }
-  // Model-only re-rank at the new scale: no probe joins — this runs inline
-  // on the serve path, so it must stay at analytic-model cost.
-  tune::AutoTuner tuner(base_config_);
-  const tune::TuneReport report =
-      tuner.predict(rows, shards_->dims(), shards_->placement_domains());
-  tune::Schedule chosen = report.best;
-  {
-    // Keep the corpus's physical sharding: an inline retune changes only
-    // engine knobs.  Capacity changes go through set_schedule(rechunk).
-    // The kernel selection survives too — the model cannot rank kernels,
-    // so a model-only retune must not silently un-pin one.
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    chosen.shard_capacity = schedule_.shard_capacity;
-    chosen.kernel = schedule_.kernel;
-  }
-  engine_ = FastedEngine(chosen.apply(base_config_));
-  std::lock_guard<std::mutex> lock(stats_mutex_);
-  schedule_ = chosen;
-  last_tuned_rows_ = rows;
-  ++stats_.schedule_retunes;
 }
 
 JoinService::CorpusRef JoinService::corpus_ref() const {
@@ -143,7 +71,6 @@ QueryJoinOutput JoinService::eps_join(const EpsQuery& request) {
   const float eps = resolve_eps(request);
   std::unique_lock<std::mutex> serve = admit();
   const CorpusRef ref = corpus_ref();
-  maybe_retune(ref.rows);
 
   JoinOptions options;
   options.path = request.path;
@@ -178,7 +105,6 @@ QueryJoinOutput JoinService::eps_join(const EpsQuery& request,
   const float eps = resolve_eps(request);  // before admission, see above
   std::unique_lock<std::mutex> serve = admit();
   const CorpusRef ref = corpus_ref();
-  maybe_retune(ref.rows);
   obs::PhaseTimer drain(phases_->eps_drain);
   obs::TraceSpan drain_span("eps_join_stream", "service");
 
@@ -267,7 +193,6 @@ std::vector<QueryJoinOutput> JoinService::eps_join_coalesced(
 
   std::unique_lock<std::mutex> serve = admit();
   const CorpusRef ref = corpus_ref();
-  maybe_retune(ref.rows);
 
   const PreparedDataset queries(strip);
   kernels::DemuxSink sink(std::move(routes), ref.views.size());
@@ -318,7 +243,6 @@ KnnBatchResult JoinService::knn(const KnnQuery& request,
   const float initial_eps = initial_knn_eps(request.k, options);
   std::unique_lock<std::mutex> serve = admit();
   const CorpusRef ref = corpus_ref();
-  maybe_retune(ref.rows);
   const PreparedDataset queries(request.points);
   FASTED_CHECK_MSG(request.k >= 1 && request.k <= ref.alive,
                    "need 1 <= k <= alive corpus size");
@@ -342,7 +266,6 @@ KnnBatchResult JoinService::knn_corpus(std::size_t k,
   const float initial_eps = initial_knn_eps(k, options);  // before admission
   std::unique_lock<std::mutex> serve = admit();
   const CorpusRef ref = corpus_ref();
-  maybe_retune(ref.rows);
   FASTED_CHECK_MSG(k >= 1 && k <= ref.alive,
                    "need 1 <= k <= alive corpus size");
 
@@ -509,14 +432,9 @@ PhaseLatency phase_latency(const char* name,
 
 ServiceStats JoinService::stats() const {
   ServiceStats out;
-  std::string kernel_selection;
   {
     std::lock_guard<std::mutex> lock(stats_mutex_);
     out = stats_;
-    // schedule_ tracks the engine's live config (defaults / set_schedule /
-    // retune all update it under this lock), so its kernel field is a
-    // race-free view of the current selection.
-    kernel_selection = schedule_.kernel;
   }
   // Snapshot the pool's drain/steal counters outside our lock (they are
   // relaxed atomics with their own discipline), as a delta against the
@@ -525,7 +443,7 @@ ServiceStats JoinService::stats() const {
   out.domain_loads =
       ThreadPool::global().domain_loads_since(pool_baseline_);
   const kernels::KernelContext kctx = kernels::KernelContext::resolve(
-      kernel_selection, ThreadPool::global());
+      engine_.config().rz_kernel, ThreadPool::global());
   out.domain_kernels.reserve(out.domain_loads.size());
   for (std::size_t d = 0; d < out.domain_loads.size(); ++d) {
     out.domain_kernels.emplace_back(kctx.kernel(d).name);
@@ -552,7 +470,6 @@ std::string ServiceStats::json() const {
      << ",\"knn_batches\":" << knn_batches << ",\"queries\":" << queries
      << ",\"pairs\":" << pairs << ",\"pairs_tombstoned\":" << pairs_tombstoned
      << ",\"knn_brute_force_queries\":" << knn_brute_force_queries
-     << ",\"schedule_retunes\":" << schedule_retunes
      << ",\"coalesced_windows\":" << coalesced_windows
      << ",\"coalesced_requests\":" << coalesced_requests;
   os << ",\"phases\":{";

@@ -18,7 +18,7 @@ namespace {
 
 // Lifecycle ops record into the process-global registry (unlike serve
 // phases, which are per-service): the corpus is the shared resource, and
-// the autotuner wants maintenance cost wherever it was paid.
+// its maintenance cost is reported wherever it was paid.
 obs::ConcurrentHistogram& lifecycle_histogram(const char* op) {
   return obs::Registry::global().histogram(std::string("lifecycle.") + op);
 }

@@ -24,6 +24,7 @@
 #include "../hw_rz.hpp"
 #include "common/check.hpp"
 #include "common/fp16.hpp"
+#include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "core/fasted.hpp"
 #include "core/kernels/demux_sink.hpp"
@@ -339,6 +340,30 @@ TEST(RzDotKernels, ScalarConfigReproducesAutoSelectedJoinExactly) {
   ASSERT_EQ(dispatched.pair_count, scalar.pair_count);
   EXPECT_EQ(dispatched.result.offsets(), scalar.result.offsets());
   EXPECT_EQ(dispatched.result.neighbors(), scalar.result.neighbors());
+}
+
+TEST(RzDotKernels, RetiredKernelNameFallsBackToDomainBest) {
+  // A config naming the retired avx512fp16 variant still validates; the
+  // name resolves like any unsupported one: each domain gets its own best
+  // kernel (after a one-time warning), and joins run unchanged.
+  FastedConfig cfg = FastedConfig::paper_defaults();
+  cfg.rz_kernel = "avx512fp16";
+  cfg.validate();
+
+  const ThreadPool& pool = ThreadPool::global();
+  const auto ctx = kernels::KernelContext::resolve(cfg.rz_kernel, pool);
+  const kernels::KernelRegistry& reg = kernels::KernelRegistry::global();
+  for (std::size_t d = 0; d < pool.domain_count(); ++d) {
+    const kernels::RzDotKernel& want =
+        reg.env_pin() != nullptr ? *reg.env_pin()
+                                 : reg.best_for(pool.domain_features(d));
+    EXPECT_EQ(&ctx.kernel(d), &want) << d;
+  }
+  const auto data = data::uniform(200, 16, 5);
+  const auto retired = FastedEngine(cfg).self_join(data, 0.9f);
+  const auto defaults = FastedEngine().self_join(data, 0.9f);
+  EXPECT_EQ(retired.pair_count, defaults.pair_count);
+  EXPECT_EQ(retired.result.neighbors(), defaults.result.neighbors());
 }
 
 TEST(ResultSinks, CountCsrAndStreamingAgreePairForPair) {

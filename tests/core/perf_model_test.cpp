@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <numeric>
+
+#include "common/parallel.hpp"
+#include "common/topology.hpp"
 #include "core/fasted.hpp"
+#include "data/generators.hpp"
 
 namespace fasted {
 namespace {
@@ -166,6 +172,77 @@ TEST(PerfModel, DispatchSquareAblation) {
   cfg.dispatch_square = 8;
   const double s8 = estimate_fasted_kernel(cfg, kN, kD).counters.dram_bytes;
   EXPECT_LT(s8, s2);
+}
+
+class ScopedTopology {
+ public:
+  explicit ScopedTopology(std::size_t domains, std::size_t threads = 4) {
+    const Topology topo = Topology::synthetic(domains);
+    ThreadPool::reset_global(threads, &topo);
+  }
+  ~ScopedTopology() { ThreadPool::reset_global(); }
+};
+
+// Tiles the executor drains for one count-only query join under `cfg`, as
+// the pool's per-domain load counters record them.
+std::uint64_t drained_tiles(const FastedConfig& cfg, const MatrixF32& queries,
+                            const MatrixF32& corpus) {
+  ThreadPool& pool = ThreadPool::global();
+  const auto baseline = pool.domain_load_snapshot();
+  JoinOptions count_only;
+  count_only.build_result = false;
+  FastedEngine(cfg).query_join(PreparedDataset(queries),
+                               PreparedDataset(corpus), 0.5f, count_only);
+  const auto loads = pool.domain_loads_since(baseline);
+  return std::accumulate(
+      loads.begin(), loads.end(), std::uint64_t{0},
+      [](std::uint64_t acc, const DomainLoad& l) { return acc + l.total(); });
+}
+
+// The model's block-tile grid is not a free parameter: the executor drains
+// exactly query_tiles x corpus_tiles work items, and the pool's domain
+// load counters record every one.  Pin the prediction to the recorded
+// counters on a fixed small corpus.
+TEST(PerfModel, ModelTileGridMatchesRecordedDrainCounters) {
+  ScopedTopology topo(1);
+  const std::size_t nq = 96, nc = 600, d = 16;
+  const auto corpus = data::uniform(nc, d, 123);
+  const auto queries = data::uniform(nq, d, 124);
+  const FastedConfig cfg = FastedConfig::paper_defaults();
+
+  const PerfEstimate est = estimate_fasted_join_kernel(cfg, nq, nc, d);
+  const std::size_t tm = static_cast<std::size_t>(cfg.block_tile_m);
+  const std::size_t tn = static_cast<std::size_t>(cfg.block_tile_n);
+  EXPECT_EQ(est.query_tiles, (nq + tm - 1) / tm);
+  EXPECT_EQ(est.corpus_tiles, (nc + tn - 1) / tn);
+  EXPECT_EQ(drained_tiles(cfg, queries, corpus),
+            static_cast<std::uint64_t>(est.query_tiles * est.corpus_tiles));
+}
+
+// Same pinning at a smaller tile shape: 64x64 block tiles must multiply
+// the drained-tile count exactly as the model predicts.
+TEST(PerfModel, SmallerTileShapeScalesDrainCountersWithModel) {
+  ScopedTopology topo(1);
+  const std::size_t nq = 128, nc = 512, d = 16;
+  const auto corpus = data::uniform(nc, d, 125);
+  const auto queries = data::uniform(nq, d, 126);
+
+  const FastedConfig base = FastedConfig::paper_defaults();
+  FastedConfig cfg = base;
+  cfg.block_tile_m = 64;
+  cfg.block_tile_n = 64;
+  cfg.warps_per_block = 1;  // one 64x64 warp tile covers the block
+  cfg.validate();
+
+  const PerfEstimate est = estimate_fasted_join_kernel(cfg, nq, nc, d);
+  EXPECT_EQ(est.query_tiles, (nq + 63) / 64);
+  EXPECT_EQ(est.corpus_tiles, (nc + 63) / 64);
+  EXPECT_EQ(drained_tiles(cfg, queries, corpus),
+            static_cast<std::uint64_t>(est.query_tiles * est.corpus_tiles));
+  // And the model agrees a 64x64 grid has 4x the tiles of the 128x128 one.
+  const PerfEstimate big = estimate_fasted_join_kernel(base, nq, nc, d);
+  EXPECT_EQ(est.query_tiles * est.corpus_tiles,
+            4 * big.query_tiles * big.corpus_tiles);
 }
 
 }  // namespace

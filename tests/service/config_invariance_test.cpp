@@ -1,0 +1,211 @@
+// Engine-config invariance, tested exhaustively over the execution knobs:
+// block-tile shape, tile dispatch order, shard capacity, cross-domain
+// stealing, shard count and execution-domain count change only how a join
+// runs, never its answer.  Every combination must give bit-identical
+// eps-join, kNN and self-join results against the flat-pool references.
+// (The rz_dot kernel selection is the remaining knob; hetero_kernel_test
+// and the FASTED_RZ_KERNEL CI legs cover it.)
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <bit>
+#include <cstdlib>
+#include <memory>
+#include <string>
+#include <vector>
+
+#include "../service_reference.hpp"
+#include "common/parallel.hpp"
+#include "common/topology.hpp"
+#include "core/fasted.hpp"
+#include "data/calibrate.hpp"
+#include "data/generators.hpp"
+#include "service/join_service.hpp"
+
+namespace fasted::service {
+namespace {
+
+constexpr std::size_t kShardCounts[] = {1, 3};
+constexpr std::size_t kDomainCounts[] = {1, 2};
+
+class ScopedTopology {
+ public:
+  explicit ScopedTopology(std::size_t domains, std::size_t threads = 4) {
+    const Topology topo = Topology::synthetic(domains);
+    ThreadPool::reset_global(threads, &topo);
+  }
+  ~ScopedTopology() { ThreadPool::reset_global(); }
+};
+
+// Scoped FASTED_STEAL pin (the executor reads it per join).
+class ScopedSteal {
+ public:
+  explicit ScopedSteal(bool enabled) {
+    const char* saved = std::getenv("FASTED_STEAL");
+    saved_ = saved != nullptr ? saved : "";
+    had_ = saved != nullptr;
+    setenv("FASTED_STEAL", enabled ? "1" : "0", 1);
+  }
+  ~ScopedSteal() {
+    if (had_) {
+      setenv("FASTED_STEAL", saved_.c_str(), 1);
+    } else {
+      unsetenv("FASTED_STEAL");
+    }
+  }
+
+ private:
+  std::string saved_;
+  bool had_ = false;
+};
+
+// Square and rectangular block tiles ({64, 128}^2, warp tiles capped at
+// 64 so the warp grid covers the tile) x dispatch {squares 4, squares 16,
+// row-major}.
+std::vector<FastedConfig> engine_configs() {
+  std::vector<FastedConfig> out;
+  for (const int tm : {64, 128}) {
+    for (const int tn : {64, 128}) {
+      for (const int square : {4, 16, 0}) {
+        FastedConfig cfg = FastedConfig::paper_defaults();
+        cfg.block_tile_m = tm;
+        cfg.block_tile_n = tn;
+        cfg.warp_tile_m = std::min(64, tm);
+        cfg.warp_tile_n = std::min(64, tn);
+        cfg.warps_per_block =
+            (tm / cfg.warp_tile_m) * (tn / cfg.warp_tile_n);
+        if (square == 0) {
+          cfg.opt_block_tile_ordering = false;  // row-major dispatch
+        } else {
+          cfg.dispatch_square = square;
+        }
+        cfg.validate();
+        out.push_back(cfg);
+      }
+    }
+  }
+  return out;
+}
+
+// FASTED_STEAL values to run: stealing only happens across domains, so a
+// one-domain pool runs one.
+std::vector<bool> steal_pins(std::size_t domains) {
+  return domains > 1 ? std::vector<bool>{true, false} : std::vector<bool>{true};
+}
+
+void expect_same_eps(const QueryJoinOutput& expect, const QueryJoinOutput& got,
+                     const std::string& label) {
+  ASSERT_EQ(got.pair_count, expect.pair_count) << label;
+  ASSERT_EQ(got.result.num_queries(), expect.result.num_queries()) << label;
+  for (std::size_t q = 0; q < expect.result.num_queries(); ++q) {
+    const auto a = expect.result.matches_of(q);
+    const auto b = got.result.matches_of(q);
+    ASSERT_EQ(b.size(), a.size()) << label << " query " << q;
+    for (std::size_t r = 0; r < a.size(); ++r) {
+      ASSERT_EQ(b[r].id, a[r].id) << label << " query " << q;
+      ASSERT_EQ(std::bit_cast<std::uint32_t>(b[r].dist2),
+                std::bit_cast<std::uint32_t>(a[r].dist2))
+          << label << " query " << q;
+    }
+  }
+}
+
+TEST(ConfigInvariance, EpsAndKnnBitIdenticalForEveryConfig) {
+  const auto data = data::uniform(420, 16, 4040);
+  const auto queries = data::uniform(60, 16, 4041);
+  const float eps = data::calibrate_epsilon(data, 24.0).eps;
+
+  EpsQuery eps_request;
+  eps_request.points = MatrixF32(queries);
+  eps_request.eps = eps;
+  KnnQuery knn_request;
+  knn_request.points = MatrixF32(queries);
+  knn_request.k = 4;
+
+  // Reference: engine-direct, flat pool, default config, monolithic
+  // corpus.
+  QueryJoinOutput eps_expect;
+  KnnBatchResult knn_expect;
+  {
+    ScopedTopology flat(1);
+    eps_expect = reference::eps_reference(data, queries, eps);
+    knn_expect = reference::knn_reference(data, queries, knn_request.k);
+  }
+
+  const auto check = [&](JoinService& svc, const std::string& label) {
+    expect_same_eps(eps_expect, svc.eps_join(eps_request), label);
+    const KnnBatchResult got = svc.knn(knn_request);
+    for (std::size_t q = 0; q < queries.rows(); ++q) {
+      for (std::size_t r = 0; r < knn_request.k; ++r) {
+        ASSERT_EQ(got.id(q, r), knn_expect.id(q, r)) << label << " q " << q;
+        ASSERT_EQ(std::bit_cast<std::uint32_t>(got.distance(q, r)),
+                  std::bit_cast<std::uint32_t>(knn_expect.distance(q, r)))
+            << label << " q " << q;
+      }
+    }
+  };
+
+  for (const std::size_t domains : kDomainCounts) {
+    ScopedTopology topo(domains);
+    for (const std::size_t shards : kShardCounts) {
+      // Shard capacity: the even split over `shards`, and half of it.
+      const std::size_t even = (data.rows() + shards - 1) / shards;
+      for (const std::size_t capacity : {even, even / 2}) {
+        ShardedCorpusOptions opts;
+        opts.shards = shards;
+        opts.shard_capacity = capacity;
+        // One corpus shared by every config's service, as an operator
+        // switching configs would keep it.
+        const auto corpus =
+            std::make_shared<ShardedCorpus>(MatrixF32(data), opts);
+        for (const FastedConfig& cfg : engine_configs()) {
+          JoinService svc(corpus, FastedEngine(cfg));
+          for (const bool steal : steal_pins(domains)) {
+            ScopedSteal pin(steal);
+            check(svc, "domains=" + std::to_string(domains) +
+                           " shards=" + std::to_string(corpus->shard_count()) +
+                           " capacity=" + std::to_string(capacity) + " " +
+                           cfg.describe() + (steal ? " steal" : " no-steal"));
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(ConfigInvariance, SelfJoinBitIdenticalForEveryConfig) {
+  // Engine-level: every config drives the triangular self-join directly,
+  // monolithic and through 3-shard placement, on a 2-domain pool with
+  // stealing pinned on and off.
+  const auto data = data::uniform(350, 12, 4050);
+  const float eps = data::calibrate_epsilon(data, 20.0).eps;
+
+  JoinOutput expect;
+  {
+    ScopedTopology flat(1);
+    expect = FastedEngine().self_join(data, eps);
+  }
+
+  ScopedTopology topo(2);
+  const PreparedShards set = prepare_shards(data, 3);
+  for (const bool steal : steal_pins(2)) {
+    ScopedSteal pin(steal);
+    for (const FastedConfig& cfg : engine_configs()) {
+      const FastedEngine engine(cfg);
+      for (const bool sharded : {false, true}) {
+        const std::string label = cfg.describe() +
+                                  (steal ? " steal" : " no-steal") +
+                                  (sharded ? " sharded" : " mono");
+        const JoinOutput got = sharded ? engine.self_join(set.span(), eps)
+                                       : engine.self_join(data, eps);
+        ASSERT_EQ(got.pair_count, expect.pair_count) << label;
+        ASSERT_EQ(got.result.offsets(), expect.result.offsets()) << label;
+        ASSERT_EQ(got.result.neighbors(), expect.result.neighbors()) << label;
+      }
+    }
+  }
+}
+
+}  // namespace
+}  // namespace fasted::service

@@ -2,9 +2,9 @@
 // pure execution policy, threaded through kernels::KernelContext — so for
 // ANY per-domain kernel assignment (all-scalar, all-best, genuinely mixed
 // per domain), across shard counts, domain counts, and steal modes,
-// through set_schedule AND the gateway's coalesced path, eps-join / kNN /
-// self-join results are BIT-identical.  Every variant computes the same
-// add_rz chain; only throughput may differ.
+// through the service's engine config AND the gateway's coalesced path,
+// eps-join / kNN / self-join results are BIT-identical.  Every variant
+// computes the same add_rz chain; only throughput may differ.
 //
 // Also the context-isolation regression for the deleted process-global
 // override: two services with different kernel selections serving
@@ -29,7 +29,6 @@
 #include "data/generators.hpp"
 #include "serve/batch_gateway.hpp"
 #include "service/join_service.hpp"
-#include "tune/schedule.hpp"
 
 namespace fasted::service {
 namespace {
@@ -66,6 +65,17 @@ class ScopedSteal {
   std::string saved_;
   bool had_ = false;
 };
+
+// A service over `data` whose engine runs the kernel `selection`.
+std::shared_ptr<JoinService> make_service(const MatrixF32& data,
+                                          const ShardedCorpusOptions& opts,
+                                          const std::string& selection) {
+  FastedConfig cfg = FastedConfig::paper_defaults();
+  cfg.rz_kernel = selection;
+  return std::make_shared<JoinService>(
+      std::make_shared<ShardedCorpus>(MatrixF32(data), opts),
+      FastedEngine(cfg));
+}
 
 // The assignments under test: homogeneous scalar, per-domain best, and a
 // genuinely heterogeneous per-domain split (domain 0 scalar, domain 1 the
@@ -126,15 +136,11 @@ TEST(HeteroKernel, EpsAndKnnBitIdenticalAcrossKernelAssignments) {
           ScopedSteal steal_pin(steal);
           ShardedCorpusOptions opts;
           opts.shards = shards;
-          JoinService svc(
-              std::make_shared<ShardedCorpus>(MatrixF32(data), opts));
-          // The selection flows the operator's way: through the schedule
-          // (Schedule::kernel -> FastedConfig::rz_kernel -> KernelContext).
-          tune::Schedule sched = svc.schedule();
-          sched.kernel = selection;
-          svc.set_schedule(sched);
-          expect_same_eps(eps_expect, svc.eps_join(eps_request), label);
-          const KnnBatchResult got = svc.knn(knn_request);
+          // The selection flows the operator's way: through the service's
+          // engine config (FastedConfig::rz_kernel -> KernelContext).
+          const auto svc = make_service(data, opts, selection);
+          expect_same_eps(eps_expect, svc->eps_join(eps_request), label);
+          const KnnBatchResult got = svc->knn(knn_request);
           for (std::size_t q = 0; q < queries.rows(); ++q) {
             for (std::size_t r = 0; r < knn_request.k; ++r) {
               ASSERT_EQ(got.id(q, r), knn_expect.id(q, r))
@@ -146,7 +152,7 @@ TEST(HeteroKernel, EpsAndKnnBitIdenticalAcrossKernelAssignments) {
           }
           // The per-domain resolution the stats report must honor the
           // comma-list assignment (domain d gets token d mod list size).
-          const ServiceStats stats = svc.stats();
+          const ServiceStats stats = svc->stats();
           ASSERT_EQ(stats.domain_kernels.size(), stats.domain_loads.size())
               << label;
           // FASTED_RZ_KERNEL force-pins over any selection, so the exact
@@ -195,11 +201,7 @@ TEST(HeteroKernel, CoalescedGatewayBitIdenticalAcrossKernelAssignments) {
     ScopedSteal steal_pin(true);
     ShardedCorpusOptions opts;
     opts.shards = 3;
-    auto svc = std::make_shared<JoinService>(
-        std::make_shared<ShardedCorpus>(MatrixF32(data), opts));
-    tune::Schedule sched = svc->schedule();
-    sched.kernel = selection;
-    svc->set_schedule(sched);
+    auto svc = make_service(data, opts, selection);
 
     serve::GatewayOptions gopts;
     gopts.window_max_requests = kClients;
@@ -283,14 +285,8 @@ TEST(HeteroKernel, ConcurrentServicesWithDifferentKernelsDoNotInterfere) {
   }
 
   ScopedTopology topo(2);
-  const auto make_service = [&](const std::string& selection) {
-    FastedConfig cfg = FastedConfig::paper_defaults();
-    cfg.rz_kernel = selection;
-    return std::make_shared<JoinService>(
-        std::make_shared<ShardedCorpus>(MatrixF32(data)), FastedEngine(cfg));
-  };
-  auto scalar_svc = make_service("scalar");
-  auto best_svc = make_service("auto");
+  auto scalar_svc = make_service(data, {}, "scalar");
+  auto best_svc = make_service(data, {}, "auto");
 
   constexpr int kIters = 8;
   std::vector<std::thread> workers;

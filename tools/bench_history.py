@@ -9,14 +9,11 @@ the shard-composition and domain-routing overheads (the two numbers this
 repo's scaling story lives or dies by).
 
     tools/bench_history.py BENCH_join.json [--label <sha>] \
-        [--large BENCH_large.json] \
         [--history BENCH_history.jsonl] [--readme README.md] [--keep 10]
 
-With --large, the million-row tier's numbers (bench_join_throughput
---large) ride along in the same history row: tuned-vs-default speedup and
-the chosen schedule.  Rows written before the large tier existed — or runs
-that skipped it — simply lack those keys and render as "—"; every column
-accessor here must tolerate missing keys for exactly that reason.
+Rows written before a column existed lack its keys and render as "—";
+every column accessor here must tolerate missing keys for exactly that
+reason.
 
 CI runs it right after the regression gate; locally, run it after
 refreshing BENCH_baseline.json so the history and the baseline move
@@ -47,13 +44,6 @@ OVERHEADS = [
 LATENCIES = [
     ("query p50 ms", "query_join.simd", "p50_ns"),
     ("query p95 ms", "query_join.simd", "p95_ns"),
-]
-# Large-tier columns (from BENCH_large.json via --large): header + key into
-# the run's "large" dict.  Old history rows have no "large" dict at all.
-LARGE = [
-    ("1M query pairs/s", "mono_tuned_pairs_per_s"),
-    ("tuned/default", "tuned_over_default_mono"),
-    ("tuned schedule", "schedule"),
 ]
 
 
@@ -91,28 +81,6 @@ def flatten_latencies(bench):
     return out
 
 
-def flatten_large(large):
-    """The large-tier fields for one run's "large" dict, all optional."""
-    out = {}
-    entry = lookup(large, "large_query_join.mono_tuned")
-    if isinstance(entry, dict) and "pairs_per_s" in entry:
-        out["mono_tuned_pairs_per_s"] = entry["pairs_per_s"]
-    ratio = lookup(large, "large_query_join.tuned_over_default_mono")
-    if isinstance(ratio, (int, float)):
-        out["tuned_over_default_mono"] = ratio
-    sched = lookup(large, "autotune.schedule")
-    if isinstance(sched, dict):
-        out["schedule"] = "{}x{} {}{}".format(
-            sched.get("tile_m", "?"), sched.get("tile_n", "?"),
-            sched.get("policy", "?"),
-            " s%s" % sched["square"] if sched.get("policy") == "squares"
-            and "square" in sched else "")
-    cfg = large.get("config", {})
-    if isinstance(cfg, dict) and "corpus_n" in cfg:
-        out["corpus_n"] = cfg["corpus_n"]
-    return out
-
-
 def default_label():
     try:
         return subprocess.check_output(
@@ -136,37 +104,24 @@ def fmt_latency_ms(ns):
     return f"{ns / 1e6:.2f}" if ns is not None else "—"
 
 
-def fmt_large(key, value):
-    if value is None:
-        return "—"
-    if key == "mono_tuned_pairs_per_s":
-        return fmt_rate(value)
-    if key == "tuned_over_default_mono":
-        return f"{value:.2f}x"
-    return str(value)
-
-
 def render_table(runs):
     header = ["run", "kernel"]
     header += [name for name, _ in COLUMNS]
     header += [name for name, _, _ in OVERHEADS]
     header += [name for name, _, _ in LATENCIES]
-    header += [name for name, _ in LARGE]
     lines = ["| " + " | ".join(header) + " |",
              "|" + "---|" * len(header)]
     for run in runs:
-        # Old rows predate some fields (latency_ns, large); every accessor
-        # below degrades to "—" instead of raising.
+        # Old rows predate some fields (latency_ns); every accessor below
+        # degrades to "—" instead of raising.
         rates = run.get("pairs_per_s", {})
         lats = run.get("latency_ns", {})
-        large = run.get("large") or {}
         row = [run.get("label") or "?", run.get("simd_kernel") or "?"]
         row += [fmt_rate(rates.get(path)) for _, path in COLUMNS]
         row += [fmt_overhead(rates.get(slow), rates.get(fast))
                 for _, slow, fast in OVERHEADS]
         row += [fmt_latency_ms(lats.get(path + "." + field))
                 for _, path, field in LATENCIES]
-        row += [fmt_large(key, large.get(key)) for _, key in LARGE]
         lines.append("| " + " | ".join(row) + " |")
     lines.append("")
     lines.append("*pairs/s on the dispatched SIMD kernel; overheads compare "
@@ -174,9 +129,7 @@ def render_table(runs):
                  "twins (negative = the partitioned run was faster). "
                  "Latency columns are per-rep quantiles of the SIMD "
                  "query-join (p95 pulling away from p50 = run-to-run "
-                 "jitter). Large-tier columns come from the nightly "
-                 "million-row run (bench_join_throughput --large); rows "
-                 "from runs that skipped it show —. Absolute rates are "
+                 "jitter). Absolute rates are "
                  "per-machine — trend within one machine, don't compare "
                  "across rows from different hardware.*")
     return "\n".join(lines)
@@ -189,8 +142,6 @@ def main():
     parser.add_argument("--readme", default="README.md")
     parser.add_argument("--label", default=None,
                         help="run label (default: git short sha)")
-    parser.add_argument("--large", default=None, metavar="BENCH_large.json",
-                        help="merge the large-tier results for this run")
     parser.add_argument("--keep", type=int, default=10,
                         help="rows rendered into the README (default 10); "
                              "the jsonl keeps everything")
@@ -206,10 +157,6 @@ def main():
         "pairs_per_s": flatten(bench),
         "latency_ns": flatten_latencies(bench),
     }
-    if args.large:
-        with open(args.large) as f:
-            run["large"] = flatten_large(json.load(f))
-
     try:
         with open(args.history) as f:
             runs = [json.loads(line) for line in f if line.strip()]
