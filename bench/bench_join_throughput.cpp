@@ -15,6 +15,9 @@
 //
 //   bench_join_throughput [corpus_n] [dims] [query_batch] [reps]
 //                         (defaults 4096 64 1024 3)
+//
+// Every entry is the best of max(reps, 5) timed repetitions, repeated
+// further until the entry has run for at least 50 ms.
 
 #include <algorithm>
 #include <atomic>
@@ -57,11 +60,16 @@ struct Measurement {
   double pairs_per_s = 0;   // result pairs / second
   std::uint64_t pairs = 0;
   // Per-rep latency distribution (throughput above keys on the BEST rep;
-  // the histogram keeps the tail so BENCH_history.jsonl can trend p95 —
-  // with the default 3 reps the quantiles are coarse, but run-to-run jitter
-  // still shows as p95 pulling away from p50).
+  // the histogram keeps the tail so BENCH_history.jsonl can trend p95 and
+  // run-to-run jitter shows as p95 pulling away from p50).
   obs::LatencyHistogram latency;
 };
+
+// Every entry runs at least this many timed repetitions, and keeps
+// repeating until this much time has passed: a best-of over a couple of
+// millisecond-scale reps is decided by scheduler noise on a shared host.
+constexpr std::size_t kMinReps = 5;
+constexpr double kMinEntrySeconds = 0.05;
 
 template <typename Fn>
 Measurement measure(const char* kernel_name, double evals, std::size_t reps,
@@ -73,7 +81,10 @@ Measurement measure(const char* kernel_name, double evals, std::size_t reps,
   // third of the time and would decide the gate instead of the kernel.
   run();
   double best = 1e300;
-  for (std::size_t r = 0; r < reps; ++r) {
+  const double start = now_s();
+  for (std::size_t r = 0;
+       r < std::max(reps, kMinReps) || now_s() - start < kMinEntrySeconds;
+       ++r) {
     const double t0 = now_s();
     m.pairs = run();
     const double rep_s = now_s() - t0;

@@ -7,6 +7,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <deque>
+#include <exception>
 #include <memory>
 #include <mutex>
 #include <utility>
@@ -53,6 +54,7 @@ struct ThreadPool::Impl {
     std::vector<std::pair<std::size_t, std::size_t>> chunks;
     std::size_t next_chunk = 0;  // guarded by mutex
     std::size_t pending = 0;     // chunks not yet completed
+    std::exception_ptr error;    // the job's first throw, guarded by mutex
     std::uint64_t epoch = 0;     // bumped per job so workers notice new work
     bool stop = false;
     std::vector<std::thread> workers;
@@ -83,8 +85,17 @@ struct ThreadPool::Impl {
           if (next_chunk >= chunks.size()) return;
           chunk = chunks[next_chunk++];
         }
-        body(chunk.first, chunk.second);
+        // A throwing body must not unwind a worker's thread entry (that
+        // ends the process): the chunk still counts as done, and the job's
+        // first exception is rethrown on the caller once the job drains.
+        std::exception_ptr thrown;
+        try {
+          body(chunk.first, chunk.second);
+        } catch (...) {
+          thrown = std::current_exception();
+        }
         std::lock_guard<std::mutex> lock(mutex);
+        if (thrown != nullptr && error == nullptr) error = std::move(thrown);
         if (--pending == 0) cv_done.notify_all();
       }
     }
@@ -102,12 +113,15 @@ struct ThreadPool::Impl {
       }
       next_chunk = 0;
       pending = chunks.size();
+      error = nullptr;
       ++epoch;
     }
 
-    void wait_done() {
+    // Blocks until the job drains; returns its first exception, if any.
+    std::exception_ptr wait_done() {
       std::unique_lock<std::mutex> lock(mutex);
       cv_done.wait(lock, [&] { return pending == 0; });
+      return std::exchange(error, nullptr);
     }
   };
 
@@ -347,7 +361,7 @@ void ThreadPool::parallel_for(
     t_in_job = true;
     g.run_chunks();
     t_in_job = false;
-    g.wait_done();
+    if (std::exception_ptr e = g.wait_done()) std::rethrow_exception(e);
     return;
   }
 
@@ -381,9 +395,13 @@ void ThreadPool::parallel_for(
   t_in_job = true;
   groups[0].run_chunks();
   t_in_job = false;
+  std::exception_ptr first;
   for (std::size_t d = 0; d < groups.size(); ++d) {
-    if (published[d]) groups[d].wait_done();
+    if (!published[d]) continue;
+    std::exception_ptr e = groups[d].wait_done();
+    if (first == nullptr) first = std::move(e);
   }
+  if (first != nullptr) std::rethrow_exception(first);
 }
 
 void ThreadPool::run_on_domain(
@@ -402,7 +420,7 @@ void ThreadPool::run_on_domain(
   // workers so first-touch placement follows the domain, not the caller.
   g.publish(begin, end, std::min(end - begin, g.workers.size() * 4), body);
   g.cv_work.notify_all();
-  g.wait_done();
+  if (std::exception_ptr e = g.wait_done()) std::rethrow_exception(e);
 }
 
 ThreadPool::DomainGuard::DomainGuard(std::size_t domain)

@@ -26,6 +26,11 @@
 // body inline and serially on that worker — nested fork-joins degrade
 // instead of deadlocking, which is also what routes a whole shard build
 // onto one pinned worker (common/topology.hpp has the placement story).
+//
+// A body that throws never unwinds a worker thread: its chunk counts as
+// done, the other chunks still run, and once the job drains the job's
+// first exception is rethrown on the calling thread, by both entry points.
+// The pool then takes the next job as usual.
 
 #pragma once
 

@@ -136,6 +136,7 @@ CpuFeatures probe_cpu_features() {
     (defined(__GNUC__) || defined(__clang__))
   f.avx2 = __builtin_cpu_supports("avx2");
   f.fma = __builtin_cpu_supports("fma");
+  f.f16c = __builtin_cpu_supports("f16c");
   f.avx512f = __builtin_cpu_supports("avx512f");
 #endif
   return f;

@@ -54,19 +54,21 @@ struct ExecutionDomain {
 struct CpuFeatures {
   bool avx2 = false;
   bool fma = false;
+  bool f16c = false;
   bool avx512f = false;
 
   CpuFeatures intersect(const CpuFeatures& o) const {
     CpuFeatures out;
     out.avx2 = avx2 && o.avx2;
     out.fma = fma && o.fma;
+    out.f16c = f16c && o.f16c;
     out.avx512f = avx512f && o.avx512f;
     return out;
   }
 
   static CpuFeatures all() {
     CpuFeatures f;
-    f.avx2 = f.fma = f.avx512f = true;
+    f.avx2 = f.fma = f.f16c = f.avx512f = true;
     return f;
   }
 };

@@ -3,14 +3,16 @@
 #include <algorithm>
 #include <bit>
 #include <optional>
+#include <sstream>
 #include <utility>
 
 #include "common/check.hpp"
+#include "common/fp16.hpp"
 #include "common/parallel.hpp"
+#include "common/rounding.hpp"
 #include "core/kernels/join_executor.hpp"
 #include "core/kernels/kernel_context.hpp"
 #include "core/kernels/join_plan.hpp"
-#include "core/sums.hpp"
 #include "obs/metrics.hpp"
 
 namespace fasted {
@@ -32,29 +34,30 @@ float fasted_pair_dist2(const float* pi, const float* pj, std::size_t dims,
 }
 
 void query_row_join(const float* query, float query_norm,
-                    const MatrixF32& corpus_values,
-                    const std::vector<float>& corpus_norms, std::size_t begin,
+                    const PreparedDataset& corpus, std::size_t begin,
                     std::size_t end, float eps2,
                     const kernels::RzDotKernel& kern,
                     std::vector<QueryMatch>& out) {
-  const std::size_t dims = corpus_values.stride();
+  using kernels::kPanelWidth;
+  const std::size_t dims = corpus.values().stride();
+  const std::vector<float>& norms = corpus.norms();
   thread_local std::vector<float> panel;
-  panel.resize(dims * kernels::kPanelWidth);
-  float acc[kernels::kPanelWidth];
-  for (std::size_t j0 = begin; j0 < end; j0 += kernels::kPanelWidth) {
-    const std::size_t width = std::min(kernels::kPanelWidth, end - j0);
-    kernels::pack_panel(corpus_values.row(j0), corpus_values.stride(), width,
-                        dims, panel.data());
-    const kernels::PanelEpilogue ep{&query_norm, &corpus_norms[j0], width,
-                                    eps2};
+  panel.resize(dims * kPanelWidth);
+  float acc[kPanelWidth];
+  // Resident panels from the one holding `begin`; lanes outside
+  // [begin, end) are masked off.
+  for (std::size_t p0 = begin / kPanelWidth * kPanelWidth; p0 < end;
+       p0 += kPanelWidth) {
+    kern.widen_panel(corpus.panel(p0 / kPanelWidth), dims, panel.data());
+    const kernels::PanelEpilogue ep{&query_norm, &norms[p0],
+                                    std::min(kPanelWidth, end - p0), eps2};
     std::uint32_t m = 0;
     kern.dot_panel_hits(query, 0, 1, panel.data(), dims, ep, acc, &m);
-    for (; m != 0; m &= m - 1) {
+    for (m &= kernels::lanes_within(p0, begin, end); m != 0; m &= m - 1) {
       const std::size_t r = static_cast<std::size_t>(std::countr_zero(m));
-      const std::size_t j = j0 + r;
+      const std::size_t j = p0 + r;
       out.push_back(QueryMatch{static_cast<std::uint32_t>(j),
-                               epilogue_dist2(acc[r], query_norm,
-                                              corpus_norms[j])});
+                               epilogue_dist2(acc[r], query_norm, norms[j])});
     }
   }
 }
@@ -97,47 +100,91 @@ PreparedShards prepare_shards(const MatrixF32& data, std::size_t shards,
   return out;
 }
 
+namespace {
+
+bool fp16_finite(std::uint16_t h) { return (h & 0x7c00u) != 0x7c00u; }
+
+// Offset of row i's lane in a panel set of `stride` dims: coordinate k of
+// the row sits kPanelWidth halves apart from k - 1.
+std::size_t lane_offset(std::size_t i, std::size_t stride) {
+  using kernels::kPanelWidth;
+  return i / kPanelWidth * stride * kPanelWidth + i % kPanelWidth;
+}
+
+[[noreturn]] void reject_coordinate(std::size_t row, std::size_t col,
+                                    float value) {
+  std::ostringstream os;
+  os << "row " << row << ", column " << col << ": coordinate " << value
+     << " has no finite FP16 image (|x| must stay below 65520)";
+  throw CheckError(os.str());
+}
+
+}  // namespace
+
+void check_fp16_finite(const MatrixF32& rows) {
+  for (std::size_t i = 0; i < rows.rows(); ++i) {
+    const float* x = rows.row(i);
+    for (std::size_t k = 0; k < rows.dims(); ++k) {
+      if (!fp16_finite(Fp16::encode_rn(x[k]))) reject_coordinate(i, k, x[k]);
+    }
+  }
+}
+
+PreparedDataset::PreparedDataset(std::size_t rows, std::size_t dims)
+    : values_(rows, dims),
+      panels_(panel_count() * values_.stride() * kernels::kPanelWidth),
+      norms_(rows) {}
+
 PreparedDataset::PreparedDataset(const MatrixF32& data)
-    : fp16_(to_fp16(data)),
-      dequant_(to_fp32(fp16_)),
-      norms_(squared_norms_fp16_rz(fp16_)) {}
+    : PreparedDataset(data.rows(), data.dims()) {
+  using kernels::kPanelWidth;
+  const std::size_t stride = values_.stride();
+  // One pass per panel: quantize (RN), decode, and run the Step 1 RZ norm
+  // chain, bit-identical to squared_norms_fp16_rz over the FP16 rows.
+  parallel_for(0, panel_count(), [&](std::size_t p0, std::size_t p1) {
+    for (std::size_t i = p0 * kPanelWidth;
+         i < std::min(rows(), p1 * kPanelWidth); ++i) {
+      const float* src = data.row(i);
+      float* dst = values_.row(i);
+      std::uint16_t* lane = panels_.data() + lane_offset(i, stride);
+      float norm = 0.0f;
+      for (std::size_t k = 0; k < data.dims(); ++k) {
+        const std::uint16_t h = Fp16::encode_rn(src[k]);
+        if (!fp16_finite(h)) reject_coordinate(i, k, src[k]);
+        const float v = Fp16::decode(h);
+        lane[k * kPanelWidth] = h;
+        dst[k] = v;
+        norm = add_rz(norm, v * v);
+      }
+      norms_[i] = norm;
+    }
+  });
+}
 
 float PreparedDataset::pair_dist2(std::size_t i, std::size_t j) const {
-  return fasted_pair_dist2(dequant_.row(i), dequant_.row(j),
-                           dequant_.stride(), norms_[i], norms_[j]);
+  return fasted_pair_dist2(values_.row(i), values_.row(j), values_.stride(),
+                           norms_[i], norms_[j]);
 }
 
 PreparedDataset PreparedDataset::gather(const PreparedDataset& src,
                                         const std::vector<std::uint32_t>& rows) {
-  PreparedDataset out;
-  out.fp16_ = MatrixF16(rows.size(), src.dims());
-  out.dequant_ = MatrixF32(rows.size(), src.dims());
-  out.norms_.resize(rows.size());
+  using kernels::kPanelWidth;
+  PreparedDataset out(rows.size(), src.dims());
+  const std::size_t stride = src.values_.stride();
   for (std::size_t a = 0; a < rows.size(); ++a) {
     const std::size_t i = rows[a];
-    std::copy_n(src.fp16_.row(i), src.fp16_.stride(), out.fp16_.row(a));
-    std::copy_n(src.dequant_.row(i), src.dequant_.stride(),
-                out.dequant_.row(a));
+    std::copy_n(src.values_.row(i), stride, out.values_.row(a));
     out.norms_[a] = src.norms_[i];
+    const std::uint16_t* from = src.panels_.data() + lane_offset(i, stride);
+    std::uint16_t* to = out.panels_.data() + lane_offset(a, stride);
+    for (std::size_t k = 0; k < stride; ++k) {
+      to[k * kPanelWidth] = from[k * kPanelWidth];
+    }
   }
   return out;
 }
 
 namespace {
-
-// The executor views of one prepared dataset joined against another (or
-// itself).  Quantized matrices ride along for the emulated data path.
-kernels::JoinInputs join_inputs(const PreparedDataset& queries,
-                                const PreparedDataset& corpus) {
-  kernels::JoinInputs in;
-  in.q_values = &queries.values();
-  in.q_norms = &queries.norms();
-  in.c_values = &corpus.values();
-  in.c_norms = &corpus.norms();
-  in.q_quant = &queries.quantized();
-  in.c_quant = &corpus.quantized();
-  return in;
-}
 
 // Validates a shard span — non-empty shards, contiguous global bases — and
 // returns the total logical row count.
@@ -182,7 +229,7 @@ ShardedPlanSet compose_query_plans(const FastedConfig& cfg,
   for (std::size_t i = 0; i < shards.size(); ++i) {
     kernels::ShardJoin entry;
     entry.plan = &set.plans[i];
-    entry.in = join_inputs(queries, *shards[i].prepared);
+    entry.in = {&queries, shards[i].prepared};
     entry.corpus_offset = shards[i].base;
     entry.shard = i;
     entry.domain = shards[i].domain;
@@ -216,7 +263,7 @@ ShardedPlanSet compose_self_plans(const FastedConfig& cfg,
   for (std::size_t a = 0; a < k; ++a, ++p) {
     kernels::ShardJoin entry;
     entry.plan = &set.plans[p];
-    entry.in = join_inputs(*shards[a].prepared, *shards[a].prepared);
+    entry.in = {shards[a].prepared, shards[a].prepared};
     entry.query_offset = shards[a].base;
     entry.corpus_offset = shards[a].base;
     entry.shard = a;
@@ -227,7 +274,7 @@ ShardedPlanSet compose_self_plans(const FastedConfig& cfg,
     for (std::size_t b = a + 1; b < k; ++b, ++p) {
       kernels::ShardJoin entry;
       entry.plan = &set.plans[p];
-      entry.in = join_inputs(*shards[a].prepared, *shards[b].prepared);
+      entry.in = {shards[a].prepared, shards[b].prepared};
       entry.query_offset = shards[a].base;
       entry.corpus_offset = shards[b].base;
       entry.shard = b;  // hits attributed to the corpus-side shard

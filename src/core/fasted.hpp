@@ -89,34 +89,61 @@ using kernels::epilogue_dist2;
 // A dataset prepared for the FaSTED pipeline: FP16 quantization and the
 // squared-norm precompute (Step 1) done once, reusable across any number of
 // radius queries (eps sweeps, adaptive kNN rounds, batched joins).
+//
+// It holds each row twice, once per precision:
+//   * values()  the FP16-exact coordinates decoded to FP32, row-major —
+//               the query side of every join reads its rows here, as do
+//               pair_dist2 and callers that need a row;
+//   * panels    the same coordinates in FP16, in the kernel's corpus panel
+//               layout: panel p holds rows 16p..16p+15 as
+//               panel[k * kPanelWidth + r] over values().stride() dims,
+//               zero past rows().  Joins widen a resident panel into FP32
+//               scratch per tile (RzDotKernel::widen_panel).
+// One pass, parallel over panels, quantizes every coordinate and writes
+// both copies and the RZ norms.  A coordinate whose FP16 image is not
+// finite (|x| >= 65520, inf or NaN) throws CheckError naming its row and
+// column: every distance of such a row would be NaN.
 class PreparedDataset {
  public:
   explicit PreparedDataset(const MatrixF32& data);
 
-  // Row-subset gather: copies already-prepared rows (FP16 data, decoded
-  // values, norms) without re-quantizing — the adaptive kNN rounds shrink
-  // their active batch this way.
+  // Row-subset gather: copies already-prepared rows (values, panel lanes,
+  // norms) without re-quantizing — the adaptive kNN rounds shrink their
+  // active batch this way.
   static PreparedDataset gather(const PreparedDataset& src,
                                 const std::vector<std::uint32_t>& rows);
 
-  std::size_t rows() const { return dequant_.rows(); }
-  std::size_t dims() const { return dequant_.dims(); }
+  std::size_t rows() const { return values_.rows(); }
+  std::size_t dims() const { return values_.dims(); }
 
-  // FP16-exact coordinate values (decoded to FP32 for the fast path).
-  const MatrixF32& values() const { return dequant_; }
-  const MatrixF16& quantized() const { return fp16_; }
+  // FP16-exact coordinate values, decoded to FP32.
+  const MatrixF32& values() const { return values_; }
   const std::vector<float>& norms() const { return norms_; }
+
+  // Resident FP16 panel p (p < panel_count()): values().stride() *
+  // kernels::kPanelWidth binary16 values.
+  std::size_t panel_count() const {
+    return (rows() + kernels::kPanelWidth - 1) / kernels::kPanelWidth;
+  }
+  const std::uint16_t* panel(std::size_t p) const {
+    return panels_.data() + p * values_.stride() * kernels::kPanelWidth;
+  }
 
   // The FP16-32 pipeline squared distance between two prepared points.
   float pair_dist2(std::size_t i, std::size_t j) const;
 
  private:
-  PreparedDataset() = default;  // for gather()
+  PreparedDataset(std::size_t rows, std::size_t dims);  // sized, zeroed
 
-  MatrixF16 fp16_;
-  MatrixF32 dequant_;
+  MatrixF32 values_;
+  std::vector<std::uint16_t> panels_;  // after values_: sized from it
   std::vector<float> norms_;
 };
+
+// Throws CheckError naming the first coordinate of `rows` whose FP16 image
+// is not finite — the check PreparedDataset applies, for callers that must
+// reject a request before it joins a shared batch.
+void check_fp16_finite(const MatrixF32& rows);
 
 // One shard of a sharded corpus as the engine sees it: the shard's prepared
 // rows and the global id of its first row.  A span of these describes the
@@ -259,12 +286,11 @@ float fasted_pair_dist2(const float* pi, const float* pj, std::size_t dims,
 // Appends every corpus row in [begin, end) within the squared radius `eps2`
 // of one prepared query row, with pipeline squared distances, ascending
 // corpus id — a one-query convenience over the shared rz_dot panel kernels
-// (kNN straggler sweeps); pass eps2 = infinity to rank the whole corpus.
-// Callers that resolved a per-domain KernelContext pass the owning
-// domain's kernel.
+// (kNN straggler sweeps) that widens the corpus's resident panels; pass
+// eps2 = infinity to rank the whole corpus.  Callers that resolved a
+// per-domain KernelContext pass the owning domain's kernel.
 void query_row_join(const float* query, float query_norm,
-                    const MatrixF32& corpus_values,
-                    const std::vector<float>& corpus_norms, std::size_t begin,
+                    const PreparedDataset& corpus, std::size_t begin,
                     std::size_t end, float eps2,
                     const kernels::RzDotKernel& kern,
                     std::vector<QueryMatch>& out);

@@ -5,13 +5,13 @@
 #include <bit>
 #include <cstdlib>
 #include <cstring>
-#include <exception>
-#include <mutex>
+#include <map>
 #include <optional>
 
 #include "common/check.hpp"
 #include "common/parallel.hpp"
 #include "core/block_tile.hpp"
+#include "core/fasted.hpp"
 #include "core/kernels/rz_dot.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -35,14 +35,15 @@ bool steal_enabled() {
            std::strcmp(env, "false") == 0);
 }
 
-// Per-thread panel scratch.  Pool workers (long-lived, bounded count, die
-// with the pool) cache an arena slice from their own domain, so packed
-// corpus panels live in node-local first-touched pages; the slice is
-// re-acquired when the global pool was rebuilt (the arena died with it) or
-// a bigger panel is needed.  Caller threads participating in a drain may
-// be short-lived (thread-per-request servers), so they use an ordinary
-// thread-local vector that frees at thread exit instead of stranding bump
-// allocations in the arena.
+// Per-thread panel scratch: the FP32 panel a worker widens each resident
+// FP16 corpus panel into before the chains read it.  Pool workers
+// (long-lived, bounded count, die with the pool) cache an arena slice from
+// their own domain, so the widened panel lives in node-local first-touched
+// pages; the slice is re-acquired when the global pool was rebuilt (the
+// arena died with it) or a bigger panel is needed.  Caller threads
+// participating in a drain may be short-lived (thread-per-request servers),
+// so they use an ordinary thread-local vector that frees at thread exit
+// instead of stranding bump allocations in the arena.
 float* panel_scratch(ThreadPool& pool, std::size_t floats) {
   if (!ThreadPool::current_is_worker()) {
     thread_local std::vector<float> caller_panel;
@@ -73,17 +74,26 @@ std::uint64_t execute_join(const FastedConfig& cfg,
                            std::uint64_t* per_entry_hits,
                            const KernelContext& ctx) {
   FASTED_CHECK_MSG(!entries.empty(), "join executor needs at least one plan");
+  // All entries of one sharded join share dims, so the per-worker panel
+  // scratch is sized once for the whole span.
+  const std::size_t dims_all = entries.front().in.corpus->values().stride();
   for (const ShardJoin& e : entries) {
     FASTED_CHECK_MSG(e.plan != nullptr, "null plan in sharded join");
-    FASTED_CHECK_MSG(e.in.q_values->stride() == e.in.c_values->stride(),
+    FASTED_CHECK_MSG(e.in.queries->values().stride() ==
+                         e.in.corpus->values().stride(),
                      "query/corpus stride mismatch in join executor");
-    // The per-worker panel scratch is sized once for the whole span.
-    FASTED_CHECK_MSG(
-        e.in.c_values->stride() == entries.front().in.c_values->stride(),
-        "all entries of one sharded join must share corpus dims");
-    if (emulated) {
-      FASTED_CHECK_MSG(e.in.q_quant != nullptr && e.in.c_quant != nullptr,
-                       "emulated path needs quantized inputs");
+    FASTED_CHECK_MSG(e.in.corpus->values().stride() == dims_all,
+                     "all entries of one sharded join must share corpus dims");
+  }
+  // The emulated data path reads FP16 row-major operands.  values() holds
+  // FP16-exact floats, so re-encoding them is exact; each distinct dataset
+  // is encoded once per call.
+  std::map<const PreparedDataset*, MatrixF16> quant;
+  if (emulated) {
+    for (const ShardJoin& e : entries) {
+      for (const PreparedDataset* p : {e.in.queries, e.in.corpus}) {
+        if (quant.count(p) == 0) quant.emplace(p, to_fp16(p->values()));
+      }
     }
   }
   const bool collect = sink.wants_hits();
@@ -125,11 +135,9 @@ std::uint64_t execute_join(const FastedConfig& cfg,
     const std::size_t home = ThreadPool::current_domain() % ndom;
     std::optional<BlockTileEngine> engine;
     if (emulated) engine.emplace(cfg);
-    // Per-worker scratch: the packed corpus panel (domain-arena slice, see
+    // Per-worker scratch: the widened corpus panel (domain-arena slice, see
     // panel_scratch), the kernel's accumulator block and hit masks, and
-    // the hit buffer.  All entries of one sharded join share dims, so the
-    // panel is sized once.
-    const std::size_t dims_all = entries.front().in.c_values->stride();
+    // the hit buffer.
     float* panel = panel_scratch(pool, dims_all * kPanelWidth);
     float acc[kQueryBlock * kPanelWidth];
     std::uint32_t masks[kQueryBlock];
@@ -151,11 +159,10 @@ std::uint64_t execute_join(const FastedConfig& cfg,
       // not per-process and not per-executing-worker (see header).
       const RzDotKernel& kern = ctx.kernel(entry.domain);
       JoinPlan& plan = *entry.plan;
-      const MatrixF32& q = *entry.in.q_values;
-      const MatrixF32& c = *entry.in.c_values;
-      const std::vector<float>& sq = *entry.in.q_norms;
-      const std::vector<float>& sc = *entry.in.c_norms;
-      const std::size_t dims = c.stride();
+      const MatrixF32& q = entry.in.queries->values();
+      const PreparedDataset& c = *entry.in.corpus;
+      const std::vector<float>& sq = entry.in.queries->norms();
+      const std::vector<float>& sc = c.norms();
       const std::size_t qoff = entry.query_offset;
       const std::size_t coff = entry.corpus_offset;
       std::uint64_t local = 0;
@@ -182,7 +189,8 @@ std::uint64_t execute_join(const FastedConfig& cfg,
                            "per-tile sinks need a full-corpus-width plan");
         }
         if (emulated) {
-          engine->compute(*entry.in.q_quant, *entry.in.c_quant, t.q0, t.c0);
+          engine->compute(quant.at(entry.in.queries),
+                          quant.at(entry.in.corpus), t.q0, t.c0);
           for (std::size_t i = t.q0; i < t.q1; ++i) {
             for (std::size_t j = t.c0; j < t.c1; ++j) {
               if (t.diagonal && j <= i) continue;
@@ -192,28 +200,34 @@ std::uint64_t execute_join(const FastedConfig& cfg,
             }
           }
         } else {
-          for (std::size_t c0 = t.c0; c0 < t.c1; c0 += kPanelWidth) {
-            const std::size_t width = std::min(kPanelWidth, t.c1 - c0);
-            pack_panel(c.row(c0), c.stride(), width, dims, panel);
+          // The resident panels covering [c0, c1).  A tile may start or
+          // end inside a panel (block_tile_n need only be a multiple of
+          // 8): that panel is widened whole and the lanes outside the
+          // tile are masked off.
+          for (std::size_t p0 = t.c0 / kPanelWidth * kPanelWidth; p0 < t.c1;
+               p0 += kPanelWidth) {
+            kern.widen_panel(c.panel(p0 / kPanelWidth), dims_all, panel);
+            const std::size_t width = std::min(kPanelWidth, t.c1 - p0);
+            const std::uint32_t lanes = lanes_within(p0, t.c0, t.c1);
             for (std::size_t i0 = t.q0; i0 < t.q1; i0 += kQueryBlock) {
               const std::size_t nq = std::min(kQueryBlock, t.q1 - i0);
-              const PanelEpilogue ep{&sq[i0], &sc[c0], width, eps2};
-              kern.dot_panel_hits(q.row(i0), q.stride(), nq, panel, dims, ep,
-                                  acc, masks);
+              const PanelEpilogue ep{&sq[i0], &sc[p0], width, eps2};
+              kern.dot_panel_hits(q.row(i0), q.stride(), nq, panel, dims_all,
+                                  ep, acc, masks);
               for (std::size_t qi = 0; qi < nq; ++qi) {
                 const std::size_t i = i0 + qi;
-                std::uint32_t m = masks[qi];
-                if (t.diagonal) m &= lanes_above(i, c0);
+                std::uint32_t m = masks[qi] & lanes;
+                if (t.diagonal) m &= lanes_above(i, p0);
                 if (m == 0) continue;
                 local += static_cast<std::uint64_t>(std::popcount(m));
                 if (!collect) continue;
                 const float* a = acc + qi * kPanelWidth;
                 for (; m != 0; m &= m - 1) {
-                  const std::size_t j = c0 + std::countr_zero(m);
+                  const std::size_t j = p0 + std::countr_zero(m);
                   hits.push_back(PairHit{
                       static_cast<std::uint32_t>(i + qoff),
                       static_cast<std::uint32_t>(j + coff),
-                      epilogue_dist2(a[j - c0], sq[i], sc[j])});
+                      epilogue_dist2(a[j - p0], sq[i], sc[j])});
                 }
               }
             }
@@ -284,20 +298,11 @@ std::uint64_t execute_join(const FastedConfig& cfg,
     }
     total.fetch_add(worker_total, std::memory_order_relaxed);
   };
-  // A sink that rejects a tile (a CheckError from consume) must not unwind
-  // a pool worker's thread entry: the first exception is kept and rethrown
-  // on the caller's thread once every worker has left the drain.
-  std::mutex failure_mutex;
-  std::exception_ptr failure;
-  parallel_for(0, pool.size(), [&](std::size_t, std::size_t) {
-    try {
-      drain_worker();
-    } catch (...) {
-      std::lock_guard<std::mutex> lock(failure_mutex);
-      if (failure == nullptr) failure = std::current_exception();
-    }
-  });
-  if (failure != nullptr) std::rethrow_exception(failure);
+  // A sink that rejects a tile (a CheckError from consume) throws out of
+  // its worker's body; the pool keeps the first exception and rethrows it
+  // here once every worker has left the drain.
+  parallel_for(0, pool.size(),
+               [&](std::size_t, std::size_t) { drain_worker(); });
 
   if (per_entry_hits != nullptr) {
     for (std::size_t ei = 0; ei < entries.size(); ++ei) {

@@ -37,18 +37,18 @@
 #include "core/kernels/kernel_context.hpp"
 #include "core/kernels/result_sink.hpp"
 
+namespace fasted {
+class PreparedDataset;
+}  // namespace fasted
+
 namespace fasted::kernels {
 
-// Views of prepared data.  Values/norms drive the fast path; the quantized
-// matrices are only needed when `emulated` is set.  For self-joins the
-// query and corpus views alias the same dataset.
+// The prepared data of one join: query rows come from `queries->values()`,
+// corpus panels from `corpus`'s resident FP16 panels, widened per tile.
+// For self-joins both alias the same dataset.
 struct JoinInputs {
-  const MatrixF32* q_values = nullptr;
-  const std::vector<float>* q_norms = nullptr;
-  const MatrixF32* c_values = nullptr;
-  const std::vector<float>* c_norms = nullptr;
-  const MatrixF16* q_quant = nullptr;
-  const MatrixF16* c_quant = nullptr;
+  const PreparedDataset* queries = nullptr;
+  const PreparedDataset* corpus = nullptr;
 };
 
 // One shard's slice of a sharded join: a borrowed plan (drained exactly once

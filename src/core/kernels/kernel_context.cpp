@@ -27,7 +27,8 @@ const RzDotKernel* get_scalar() { return &rz_dot_scalar(); }
 
 constexpr Variant kVariants[] = {
     {"scalar", &get_scalar, [](const CpuFeatures&) { return true; }},
-    {"avx2", &rz_dot_avx2, [](const CpuFeatures& f) { return f.avx2 && f.fma; }},
+    {"avx2", &rz_dot_avx2,
+     [](const CpuFeatures& f) { return f.avx2 && f.fma && f.f16c; }},
     {"avx512", &rz_dot_avx512, [](const CpuFeatures& f) { return f.avx512f; }},
 };
 

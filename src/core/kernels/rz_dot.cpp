@@ -2,6 +2,7 @@
 
 #include <cstring>
 
+#include "common/fp16.hpp"
 #include "common/rounding.hpp"
 
 namespace fasted::kernels {
@@ -55,7 +56,15 @@ void dot_panel_hits_scalar(const float* q, std::size_t q_stride,
   }
 }
 
-const RzDotKernel kScalar{"scalar", &dot_panel_scalar, &dot_panel_hits_scalar};
+void widen_panel_scalar(const std::uint16_t* half_panel, std::size_t dims,
+                        float* panel) {
+  for (std::size_t i = 0; i < dims * kPanelWidth; ++i) {
+    panel[i] = Fp16::decode(half_panel[i]);
+  }
+}
+
+const RzDotKernel kScalar{"scalar", &dot_panel_scalar, &dot_panel_hits_scalar,
+                          &widen_panel_scalar};
 
 }  // namespace
 

@@ -30,13 +30,19 @@
 // bitmask per query row, bit r set iff epilogue_dist2 of lane r is within
 // eps2.  The executor then visits set bits only.
 //
-// Corpus rows are packed column-interleaved (pack_panel) so the inner loop
-// issues one contiguous load per dimension; the pack is amortized across
-// every query row of a block tile, in the pre-allocated-scratch spirit of
-// the cpp-hpc-primitives exemplar (SNIPPETS.md §1).
+// Corpus rows are column-interleaved (pack_panel's layout) so the inner
+// loop issues one contiguous load per dimension.  A prepared corpus keeps
+// every 16-row panel resident in that layout in FP16 (PreparedDataset,
+// core/fasted.hpp), built once when the rows are prepared; a join widens a
+// resident panel into per-worker FP32 scratch (widen_panel, an exact
+// FP16 -> FP32 conversion) and runs every query row of its block tile
+// against it.  The corpus is never re-packed per join, in the
+// pre-allocated-scratch spirit of the cpp-hpc-primitives exemplar
+// (SNIPPETS.md §1).
 
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
@@ -96,10 +102,19 @@ using RzDotHitsFn = void (*)(const float* q, std::size_t q_stride,
                              std::size_t dims, const PanelEpilogue& ep,
                              float* acc, std::uint32_t* masks);
 
+// Widens one resident FP16 panel — dims * kPanelWidth binary16 values in
+// pack_panel's layout — into the FP32 panel the chains read.  Every FP16
+// value is exact in FP32, so each variant's conversion (software decode,
+// F16C, AVX-512) writes the same bits, signed zeros and subnormals
+// included.
+using RzWidenFn = void (*)(const std::uint16_t* half_panel, std::size_t dims,
+                           float* panel);
+
 struct RzDotKernel {
   const char* name;  // "scalar", "avx2", "avx512"
   RzDotPanelFn dot_panel;
   RzDotHitsFn dot_panel_hits;
+  RzWidenFn widen_panel;
 };
 
 // Lanes r of a panel starting at corpus row c0 with c0 + r > i: the strict
@@ -110,10 +125,21 @@ inline std::uint32_t lanes_above(std::size_t i, std::size_t c0) {
   return skip >= 32 ? 0u : ~0u << skip;
 }
 
+// Lanes r of a panel starting at corpus row p0 with p0 + r in [c0, c1):
+// the rows of a tile that starts or ends inside a resident panel.
+inline std::uint32_t lanes_within(std::size_t p0, std::size_t c0,
+                                  std::size_t c1) {
+  const std::size_t lo = c0 > p0 ? c0 - p0 : 0;
+  const std::size_t hi = std::min(kPanelWidth, c1 - p0);
+  return ((std::uint32_t{1} << hi) - 1) & (~0u << lo);
+}
+
 // Packs `nrows` (<= kPanelWidth) consecutive rows starting at `rows` with
 // stride `row_stride` into the column-interleaved layout
 // panel[k * kPanelWidth + r] = rows[r * row_stride + k]; lanes >= nrows are
-// zero-filled.  `panel` must hold dims * kPanelWidth floats.
+// zero-filled.  `panel` must hold dims * kPanelWidth floats.  Joins widen a
+// PreparedDataset's resident panels, which hold this layout in FP16;
+// pack_panel is the layout's reference.
 void pack_panel(const float* rows, std::size_t row_stride, std::size_t nrows,
                 std::size_t dims, float* panel);
 

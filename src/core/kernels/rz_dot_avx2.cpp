@@ -16,12 +16,16 @@
 // Four query rows (8 chains) are in flight per pass over the panel, which
 // fits the 16 YMM registers; a block of 8 rows takes two passes.
 //
-// This file is compiled with -mavx2 -mfma on x86-64 (see CMakeLists.txt);
-// everywhere else it degrades to a nullptr stub and dispatch stays scalar.
+// widen_panel converts a resident FP16 panel with F16C's _mm256_cvtph_ps,
+// half a panel column per instruction.
+//
+// This file is compiled with -mavx2 -mfma -mf16c on x86-64 (see
+// CMakeLists.txt); everywhere else it degrades to a nullptr stub and
+// dispatch stays scalar.
 
 #include "core/kernels/rz_dot.hpp"
 
-#if defined(__AVX2__) && defined(__FMA__)
+#if defined(__AVX2__) && defined(__FMA__) && defined(__F16C__)
 
 #include <immintrin.h>
 
@@ -151,21 +155,33 @@ void dot_panel_hits_avx2(const float* q, std::size_t q_stride, std::size_t nq,
   });
 }
 
-const RzDotKernel kAvx2{"avx2", &dot_panel_avx2, &dot_panel_hits_avx2};
+void widen_panel_avx2(const std::uint16_t* half_panel, std::size_t dims,
+                      float* panel) {
+  for (std::size_t i = 0; i < dims * kPanelWidth; i += 8) {
+    const __m128i h =
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(half_panel + i));
+    _mm256_storeu_ps(panel + i, _mm256_cvtph_ps(h));
+  }
+}
+
+const RzDotKernel kAvx2{"avx2", &dot_panel_avx2, &dot_panel_hits_avx2,
+                        &widen_panel_avx2};
 
 }  // namespace
 
 const RzDotKernel* rz_dot_avx2() {
-  // The TU is compiled with -mavx2 -mfma, so the compiler is licensed to
-  // emit FMA anywhere in it — require both features at runtime.
-  return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma")
+  // The TU is compiled with -mavx2 -mfma -mf16c, so the compiler is
+  // licensed to emit any of them anywhere in it — require all three at
+  // runtime.
+  return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma") &&
+                 __builtin_cpu_supports("f16c")
              ? &kAvx2
              : nullptr;
 }
 
 }  // namespace fasted::kernels
 
-#else  // !(__AVX2__ && __FMA__)
+#else  // !(__AVX2__ && __FMA__ && __F16C__)
 
 namespace fasted::kernels {
 const RzDotKernel* rz_dot_avx2() { return nullptr; }

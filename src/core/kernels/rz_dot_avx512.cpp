@@ -14,6 +14,9 @@
 // for bit the scalar epilogue_dist2) compared against eps2 under the
 // valid-lane mask, one 16-bit hit mask per query row.
 //
+// widen_panel converts a resident FP16 panel with _mm512_cvtph_ps, one
+// panel column per instruction.
+//
 // Compiled with -mavx512f on x86-64 (see CMakeLists.txt); elsewhere this
 // is a nullptr stub.
 
@@ -114,7 +117,18 @@ void dot_panel_hits_avx512(const float* q, std::size_t q_stride,
   });
 }
 
-const RzDotKernel kAvx512{"avx512", &dot_panel_avx512, &dot_panel_hits_avx512};
+// One panel column per conversion: 16 halves widen exactly to one ZMM.
+void widen_panel_avx512(const std::uint16_t* half_panel, std::size_t dims,
+                        float* panel) {
+  for (std::size_t k = 0; k < dims; ++k) {
+    const __m256i h = _mm256_loadu_si256(
+        reinterpret_cast<const __m256i*>(half_panel + k * kPanelWidth));
+    _mm512_storeu_ps(panel + k * kPanelWidth, _mm512_cvtph_ps(h));
+  }
+}
+
+const RzDotKernel kAvx512{"avx512", &dot_panel_avx512, &dot_panel_hits_avx512,
+                          &widen_panel_avx512};
 
 }  // namespace
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "common/check.hpp"
@@ -77,6 +78,15 @@ CalibrationResult calibrate_epsilon(const MatrixF32& data,
   FASTED_CHECK_MSG(target_selectivity > 0, "selectivity must be positive");
   FASTED_CHECK_MSG(n - 1 <= std::numeric_limits<std::uint32_t>::max(),
                    "calibration row ids are 32-bit");
+  // A NaN distance would break the strict weak ordering nth_element needs.
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t k = 0; k < data.dims(); ++k) {
+      FASTED_CHECK_MSG(std::isfinite(data.at(i, k)),
+                       "calibration rows must be finite (row " +
+                           std::to_string(i) + ", column " +
+                           std::to_string(k) + ")");
+    }
+  }
   const std::size_t m = std::min(sample_points, n);
 
   // Sample query rows without replacement (reservoir-free: shuffle-pick).

@@ -23,6 +23,7 @@ struct CalibrationResult {
   double achieved_selectivity = 0;  // estimated from the sample
 };
 
+// Rows must be finite: a NaN or infinite coordinate throws CheckError.
 CalibrationResult calibrate_epsilon(const MatrixF32& data,
                                     double target_selectivity,
                                     std::uint64_t seed = 0x5e1ec7ull,

@@ -92,6 +92,9 @@ BatchGateway::TicketPtr BatchGateway::try_submit(
   FASTED_CHECK_MSG(request.points.rows() > 0, "empty query batch");
   FASTED_CHECK_MSG(request.points.dims() == corpus_dims_,
                    "query/corpus dimensionality mismatch");
+  // Rejected here, not at preparation: one bad request must not fail the
+  // rest of the window it would have joined.
+  check_fp16_finite(request.points);
   auto ticket = std::make_shared<Ticket>();
   ticket->submitted_at_ = Clock::now();
   const std::chrono::nanoseconds limit =
@@ -108,6 +111,9 @@ BatchGateway::TicketPtr BatchGateway::try_submit(
   FASTED_CHECK_MSG(request.points.rows() > 0, "empty query batch");
   FASTED_CHECK_MSG(request.points.dims() == corpus_dims_,
                    "query/corpus dimensionality mismatch");
+  // Rejected here, not at preparation: one bad request must not fail the
+  // rest of the window it would have joined.
+  check_fp16_finite(request.points);
   FASTED_CHECK_MSG(request.k >= 1, "need k >= 1");
   auto ticket = std::make_shared<Ticket>();
   ticket->submitted_at_ = Clock::now();

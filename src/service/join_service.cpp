@@ -375,8 +375,7 @@ std::size_t JoinService::knn_fill(const PreparedDataset& queries,
         for (const CorpusShardView& view : views) {
           const std::size_t before = row.size();
           query_row_join(queries.values().row(i), queries.norms()[i],
-                         view.prepared->values(), view.prepared->norms(), 0,
-                         view.prepared->rows(), inf,
+                         *view.prepared, 0, view.prepared->rows(), inf,
                          kctx.kernel(view.domain), row);
           if (view.base != 0) {
             for (std::size_t r = before; r < row.size(); ++r) {
@@ -399,6 +398,9 @@ std::size_t JoinService::knn_fill(const PreparedDataset& queries,
   parallel_for(0, nq, [&](std::size_t lo, std::size_t hi) {
     for (std::size_t i = lo; i < hi; ++i) {
       auto& row = matches[i];
+      // The sweep ranks every alive row at eps2 = +inf, so only a distance
+      // no radius admits (NaN) could leave a row short.
+      FASTED_CHECK_MSG(row.size() >= k, "kNN row still short of k matches");
       std::partial_sort(row.begin(),
                         row.begin() + static_cast<std::ptrdiff_t>(k),
                         row.end(), rank_less);

@@ -6,8 +6,8 @@
 // amortized across every request.  A service also cannot re-ingest
 // everything per update.  ShardedCorpus splits the logical corpus into N
 // contiguous shards (N = 1 for an undivided corpus), each owning its
-// original rows, PreparedDataset (FP16 + RZ norms) and a calibration
-// sample, and makes the corpus mutable:
+// original rows, PreparedDataset (resident FP16 panels, FP16-exact FP32
+// rows, RZ norms) and a calibration sample, and makes the corpus mutable:
 //
 //   append(rows)  ingests into the newest shard.  Only that shard is
 //                 re-prepared; once a shard reaches `shard_capacity` rows it
@@ -236,7 +236,9 @@ class ShardedCorpus {
   // current size()).  Re-prepares only the open shard; seals it at
   // capacity and opens fresh shards as needed.  Safe to call concurrently
   // with readers; concurrent mutators (append/erase/compact/rebalance)
-  // serialize.
+  // serialize.  A row with a coordinate FP16 cannot hold throws CheckError
+  // from preparation, before anything is published: the snapshot and the
+  // calibration cache stay as they were.
   void append(const MatrixF32& rows);
 
   // Tombstone global rows (ids must be < size(); re-erasing is a no-op).
@@ -327,7 +329,7 @@ class ShardedCorpus::Shard {
         std::size_t owning_domain);
 
   const MatrixF32 points;          // original FP32 rows (calibration)
-  const PreparedDataset prepared;  // FP16 + dequant + RZ norms
+  const PreparedDataset prepared;  // FP16 panels + FP32 rows + RZ norms
   const std::size_t base;          // global id of local row 0
   const bool sealed;
   const std::uint64_t generation;  // unique per shard build

@@ -3,11 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <numeric>
 #include <string>
 #include <thread>
 #include <vector>
+
+#include "common/topology.hpp"
 
 namespace fasted {
 namespace {
@@ -318,6 +321,80 @@ TEST(ThreadPool, ConcurrentCallersEachSeeTheirOwnJobComplete) {
   tb.join();
   for (auto& h : a) EXPECT_EQ(h.load(), 20);
   for (auto& h : b) EXPECT_EQ(h.load(), 20);
+}
+
+// A throwing body must not end the process: the caller catches the job's
+// exception once every other chunk has run, and the pool takes the next
+// job — on the flat pool and on a 2-domain pool, through both entry points.
+TEST(ThreadPool, ThrowingChunkRethrowsOnCallerAndPoolRunsNextJob) {
+  struct ChunkFailure {};
+  for (const Topology& topo :
+       {Topology::synthetic(1),
+        Topology::custom({ExecutionDomain{}, ExecutionDomain{}})}) {
+    ThreadPool pool(4, &topo);
+    const std::string label =
+        std::to_string(pool.domain_count()) + " domain(s)";
+
+    // parallel_for: the first chunk a worker runs throws before touching
+    // its range; every other index is still visited exactly once.  The
+    // caller's own chunks wait for that throw, so it lands on a worker.
+    std::vector<std::atomic<int>> hits(1000);
+    std::atomic<bool> thrown{false};
+    std::atomic<std::size_t> failed_chunk{0};
+    EXPECT_THROW(
+        pool.parallel_for(
+            0, hits.size(),
+            [&](std::size_t b, std::size_t e) {
+              if (ThreadPool::current_is_worker()) {
+                if (!thrown.exchange(true)) {
+                  failed_chunk = e - b;
+                  throw ChunkFailure{};
+                }
+              } else {
+                const auto give_up = std::chrono::steady_clock::now() +
+                                     std::chrono::seconds(10);
+                while (!thrown.load() &&
+                       std::chrono::steady_clock::now() < give_up) {
+                  std::this_thread::yield();
+                }
+              }
+              for (std::size_t i = b; i < e; ++i) hits[i].fetch_add(1);
+            }),
+        ChunkFailure)
+        << label;
+    ASSERT_TRUE(thrown.load()) << label;
+    int visited = 0;
+    for (auto& h : hits) visited += h.load();
+    EXPECT_EQ(static_cast<std::size_t>(visited),
+              hits.size() - failed_chunk.load())
+        << label;
+
+    // run_on_domain: one throwing chunk per domain's job.
+    for (std::size_t d = 0; d < pool.domain_count(); ++d) {
+      EXPECT_THROW(pool.run_on_domain(d, 0, 100,
+                                      [&](std::size_t b, std::size_t e) {
+                                        if (b <= 5 && 5 < e) {
+                                          throw ChunkFailure{};
+                                        }
+                                      }),
+                   ChunkFailure)
+          << label << " domain " << d;
+    }
+
+    // The pool is intact: the next jobs run to completion.
+    std::vector<std::atomic<int>> again(1000);
+    pool.parallel_for(0, again.size(), [&](std::size_t b, std::size_t e) {
+      for (std::size_t i = b; i < e; ++i) again[i].fetch_add(1);
+    });
+    for (auto& h : again) EXPECT_EQ(h.load(), 1) << label;
+    for (std::size_t d = 0; d < pool.domain_count(); ++d) {
+      std::atomic<int> sum{0};
+      pool.run_on_domain(d, 0, 10, [&](std::size_t b, std::size_t e) {
+        for (std::size_t i = b; i < e; ++i) sum += static_cast<int>(i);
+      });
+      EXPECT_EQ(sum.load(), 45) << label << " domain " << d;
+    }
+  }
 }
 
 }  // namespace

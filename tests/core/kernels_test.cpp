@@ -2,7 +2,8 @@
 //  * every rz_dot variant (scalar, AVX2, AVX512 — whichever this CPU runs)
 //    is bit-identical to the sequential add_rz chain on randomized
 //    dims/strides/tail widths/query counts,
-//  * pack_panel zero-fills tail lanes,
+//  * pack_panel zero-fills tail lanes, and every variant's widening of a
+//    PreparedDataset's resident FP16 panels equals pack_panel of its rows,
 //  * the three ResultSinks (count-only, CSR, streaming) agree pair-for-pair
 //    through the public join APIs, on both kernel paths.
 
@@ -133,8 +134,16 @@ TEST(RzDotKernels, EveryVariantMatchesHardwareRzOracle) {
     const std::size_t nq = 1 + rng.next_u64() % kQueryBlock;
     const auto corpus = adversarial_rows(rng, nrows * dims);
     const auto queries = adversarial_rows(rng, nq * dims);
-    std::vector<float> panel(dims * kPanelWidth);
-    kernels::pack_panel(corpus.data(), dims, nrows, dims, panel.data());
+    std::vector<float> packed(dims * kPanelWidth);
+    kernels::pack_panel(corpus.data(), dims, nrows, dims, packed.data());
+    // The same rows as a prepared corpus: its resident FP16 panel 0, widened
+    // by each variant, must drive the chains to the same bits.
+    MatrixF32 corpus_rows(nrows, dims);
+    for (std::size_t r = 0; r < nrows; ++r) {
+      std::copy_n(corpus.data() + r * dims, dims, corpus_rows.row(r));
+    }
+    const PreparedDataset resident(corpus_rows);
+    std::vector<float> widened(resident.values().stride() * kPanelWidth);
 
     std::vector<float> expect(nq * kPanelWidth, 0.0f);
     for (std::size_t qi = 0; qi < nq; ++qi) {
@@ -149,14 +158,69 @@ TEST(RzDotKernels, EveryVariantMatchesHardwareRzOracle) {
       }
     }
     for (const kernels::RzDotKernel* kern : kernels_list) {
-      std::vector<float> acc(nq * kPanelWidth, -1.0f);
-      kern->dot_panel(queries.data(), dims, nq, panel.data(), dims,
-                      acc.data());
-      for (std::size_t i = 0; i < acc.size(); ++i) {
-        ASSERT_EQ(std::bit_cast<std::uint32_t>(expect[i]),
-                  std::bit_cast<std::uint32_t>(acc[i]))
-            << kern->name << " trial " << trial << " dims " << dims
-            << " cell " << i << " expect " << expect[i] << " got " << acc[i];
+      kern->widen_panel(resident.panel(0), resident.values().stride(),
+                        widened.data());
+      for (const std::vector<float>* panel : {&packed, &widened}) {
+        std::vector<float> acc(nq * kPanelWidth, -1.0f);
+        kern->dot_panel(queries.data(), dims, nq, panel->data(), dims,
+                        acc.data());
+        for (std::size_t i = 0; i < acc.size(); ++i) {
+          ASSERT_EQ(std::bit_cast<std::uint32_t>(expect[i]),
+                    std::bit_cast<std::uint32_t>(acc[i]))
+              << kern->name << (panel == &packed ? " packed" : " resident")
+              << " trial " << trial << " dims " << dims << " cell " << i
+              << " expect " << expect[i] << " got " << acc[i];
+        }
+      }
+    }
+  }
+}
+
+TEST(RzDotKernels, WidenedResidentPanelsEqualPackedRows) {
+  // Every variant's widen of resident panel p reproduces pack_panel of the
+  // same values() rows bit for bit — signed zeros and FP16 subnormals
+  // included — and tail lanes past rows() read +0.
+  Rng rng(2207);
+  const auto& kernels_list = kernels::KernelRegistry::global().supported();
+  for (const std::size_t dims : {8u, 128u, 960u}) {
+    for (const std::size_t rows : {1u, 15u, 16u, 17u, 1000u}) {
+      MatrixF32 data(rows, dims);
+      for (std::size_t i = 0; i < rows; ++i) {
+        for (std::size_t k = 0; k < dims; ++k) {
+          // Signed zeros, FP16 subnormals and tiny normals, and values up
+          // to half the FP16 range.
+          const std::uint64_t pick = rng.next_u64() % 4;
+          if (pick == 0) {
+            data.at(i, k) = rng.next_u64() % 2 == 0 ? 0.0f : -0.0f;
+          } else if (pick == 1) {
+            data.at(i, k) = adversarial_fp16(rng);
+          } else {
+            data.at(i, k) = static_cast<float>(rng.uniform(-3e4, 3e4));
+          }
+        }
+      }
+      const PreparedDataset prep(data);
+      const MatrixF32& v = prep.values();
+      const std::size_t stride = v.stride();
+      ASSERT_EQ(prep.panel_count(), (rows + kPanelWidth - 1) / kPanelWidth);
+      std::vector<float> packed(stride * kPanelWidth);
+      std::vector<float> widened(stride * kPanelWidth);
+      for (std::size_t p = 0; p < prep.panel_count(); ++p) {
+        const std::size_t r0 = p * kPanelWidth;
+        kernels::pack_panel(v.row(r0), stride,
+                            std::min(kPanelWidth, rows - r0), stride,
+                            packed.data());
+        for (const kernels::RzDotKernel* kern : kernels_list) {
+          std::fill(widened.begin(), widened.end(), -1.0f);
+          kern->widen_panel(prep.panel(p), stride, widened.data());
+          for (std::size_t i = 0; i < widened.size(); ++i) {
+            ASSERT_EQ(std::bit_cast<std::uint32_t>(packed[i]),
+                      std::bit_cast<std::uint32_t>(widened[i]))
+                << kern->name << " dims " << dims << " rows " << rows
+                << " panel " << p << " k " << i / kPanelWidth << " lane "
+                << i % kPanelWidth;
+          }
+        }
       }
     }
   }

@@ -143,8 +143,8 @@ TEST(QueryRowJoin, InfiniteRadiusRanksWholeCorpus) {
   const auto corpus = data::uniform(50, 8, 31);
   const PreparedDataset c(corpus);
   std::vector<QueryMatch> out;
-  query_row_join(c.values().row(0), c.norms()[0], c.values(), c.norms(), 0,
-                 c.rows(), std::numeric_limits<float>::infinity(),
+  query_row_join(c.values().row(0), c.norms()[0], c, 0, c.rows(),
+                 std::numeric_limits<float>::infinity(),
                  kernels::rz_dot_scalar(), out);
   ASSERT_EQ(out.size(), c.rows());
   for (std::size_t j = 0; j < out.size(); ++j) {

@@ -62,7 +62,8 @@ class ScopedSteal {
 
 // Square and rectangular block tiles ({64, 128}^2, warp tiles capped at
 // 64 so the warp grid covers the tile) x dispatch {squares 4, squares 16,
-// row-major}.
+// row-major}, plus one tile width that is not a multiple of the panel
+// width.
 std::vector<FastedConfig> engine_configs() {
   std::vector<FastedConfig> out;
   for (const int tm : {64, 128}) {
@@ -85,6 +86,17 @@ std::vector<FastedConfig> engine_configs() {
       }
     }
   }
+  // A block tile 24 columns wide (warp tiles 64 x 8): tiles start and end
+  // inside the 16-row resident corpus panels, so the executor widens a
+  // panel the tile only partly covers and masks the other lanes.
+  FastedConfig unaligned = FastedConfig::paper_defaults();
+  unaligned.block_tile_m = 64;
+  unaligned.block_tile_n = 24;
+  unaligned.warp_tile_m = 64;
+  unaligned.warp_tile_n = 8;
+  unaligned.warps_per_block = 3;
+  unaligned.validate();
+  out.push_back(unaligned);
   return out;
 }
 

@@ -188,8 +188,8 @@ TEST(JoinService, KnnMatchesBruteForceReference) {
   const PreparedDataset pc(corpus);
   for (std::size_t i = 0; i < queries.rows(); ++i) {
     std::vector<QueryMatch> all;
-    query_row_join(pq.values().row(i), pq.norms()[i], pc.values(), pc.norms(),
-                   0, pc.rows(), std::numeric_limits<float>::infinity(),
+    query_row_join(pq.values().row(i), pq.norms()[i], pc, 0, pc.rows(),
+                   std::numeric_limits<float>::infinity(),
                    kernels::rz_dot_scalar(), all);
     std::sort(all.begin(), all.end(), [](const QueryMatch& a,
                                          const QueryMatch& b) {

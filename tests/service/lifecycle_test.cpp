@@ -11,9 +11,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <cstdlib>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <thread>
@@ -410,6 +412,48 @@ TEST(CorpusLifecycle, MigratePreservesResultsGenerationAndCalibration) {
   corpus->eps_for_selectivity(24.0);
   EXPECT_EQ(corpus->stats().calibration_blocks_built, blocks_before);
   EXPECT_EQ(corpus->stats().shards_migrated, 1u);
+}
+
+// Every shard's prepared rows — resident FP16 panels, values and norms —
+// equal a fresh PreparedDataset of its FP32 rows, bit for bit.
+void expect_fresh_panels(const ShardedCorpus& corpus, const std::string& label) {
+  const auto snap = corpus.snapshot();
+  for (std::size_t s = 0; s < snap->size(); ++s) {
+    const ShardedCorpus::Shard& shard = *(*snap)[s].shard;
+    const PreparedDataset fresh(shard.points);
+    const PreparedDataset& held = shard.prepared;
+    ASSERT_EQ(held.rows(), fresh.rows()) << label << " shard " << s;
+    ASSERT_EQ(held.panel_count(), fresh.panel_count()) << label;
+    const std::size_t halves =
+        held.panel_count() * held.values().stride() * kernels::kPanelWidth;
+    ASSERT_TRUE(std::equal(held.panel(0), held.panel(0) + halves,
+                           fresh.panel(0)))
+        << label << " shard " << s;
+    ASSERT_EQ(0, std::memcmp(held.values().data(), fresh.values().data(),
+                             held.values().size_bytes()))
+        << label << " shard " << s;
+    ASSERT_EQ(held.norms(), fresh.norms()) << label << " shard " << s;
+  }
+}
+
+TEST(CorpusLifecycle, RebuiltShardsHoldFreshPanels) {
+  ScopedTopology topo(2);
+  const auto data = data::uniform(300, 20, 970);
+  ShardedCorpusOptions opts;
+  opts.shard_capacity = 70;  // 4 sealed shards and an open one of 20 rows
+  auto corpus =
+      std::make_shared<ShardedCorpus>(row_slice(data, 0, 260), opts);
+  expect_fresh_panels(*corpus, "bulk");
+  corpus->append(row_slice(data, 260, 300));  // rebuilds the open shard
+  expect_fresh_panels(*corpus, "append");
+  corpus->erase(every_kth(corpus->size(), 3));
+  const CompactReport report = corpus->compact({/*shard_capacity=*/55, 0.2});
+  ASSERT_GT(report.shards_rebuilt, 0u);
+  expect_fresh_panels(*corpus, "compact");
+  const std::size_t from = corpus->shard_infos()[1].domain;
+  corpus->migrate(1, 1 - from);
+  ASSERT_EQ(corpus->shard_infos()[1].domain, 1 - from);
+  expect_fresh_panels(*corpus, "migrate");
 }
 
 TEST(CorpusLifecycle, RebalanceMovesLoadOffTheHotDomain) {

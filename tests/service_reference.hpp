@@ -50,8 +50,8 @@ inline service::KnnBatchResult knn_reference(const MatrixF32& corpus,
   std::vector<QueryMatch> all;
   for (std::size_t q = 0; q < pq.rows(); ++q) {
     all.clear();
-    query_row_join(pq.values().row(q), pq.norms()[q], pc.values(), pc.norms(),
-                   0, pc.rows(), std::numeric_limits<float>::infinity(),
+    query_row_join(pq.values().row(q), pq.norms()[q], pc, 0, pc.rows(),
+                   std::numeric_limits<float>::infinity(),
                    kernels::rz_dot_scalar(), all);
     std::sort(all.begin(), all.end(),
               [](const QueryMatch& a, const QueryMatch& b) {
