@@ -162,9 +162,9 @@ int main(int argc, char** argv) {
     return engine.query_join(queries, corpus, eps, count_only).pair_count;
   };
 
-  // Kernel pinning goes through config now (no process-global override):
-  // each variant gets its own engine, the default `engine` resolves "auto"
-  // to the per-domain best — the same kernel the old dispatch picked.
+  // Kernel pinning goes through config (no process-global override): each
+  // variant gets its own engine, and the default `engine` resolves "auto"
+  // to the registry's best kernel once, at construction.
   FastedConfig scalar_cfg = FastedConfig::paper_defaults();
   scalar_cfg.rz_kernel = "scalar";
   const FastedEngine scalar_engine(scalar_cfg);

@@ -73,8 +73,8 @@ struct Args {
   double delete_fraction = 0.0;   // > 0: tombstone this share of the corpus
   bool compact = false;           // compact mid-serve (drops tombstones)
   bool rebalance = false;         // run a drain/steal-driven rebalance pass
-  std::string kernel = "auto";    // rz_dot kernel selection (name or
-                                  // comma list; "auto" = per-domain best)
+  std::string kernel = "auto";    // rz_dot kernel ("auto" = the widest
+                                  // this CPU runs)
   std::size_t gateway = 0;        // > 0: N concurrent clients through a
                                   // coalescing BatchGateway
   std::string trace_path;         // write a Chrome trace-event JSON here
@@ -110,12 +110,10 @@ void usage() {
       "                   serve loop, physically dropping tombstoned rows\n"
       "  --rebalance      after serving, migrate shards off the domain the\n"
       "                   drain/steal counters show as overloaded\n"
-      "  --kernel NAME    rz_dot kernel selection: \"auto\" (default,\n"
-      "                   per-domain best), a registry name (scalar, avx2,\n"
-      "                   avx512) pinning every domain, or a\n"
-      "                   comma list assigning per execution domain; every\n"
-      "                   selection is bit-identical (FASTED_RZ_KERNEL\n"
-      "                   still force-pins over this flag)\n"
+      "  --kernel NAME    rz_dot kernel: \"auto\" (default, the widest\n"
+      "                   this CPU runs) or one of scalar, avx2, avx512;\n"
+      "                   every kernel is bit-identical (FASTED_RZ_KERNEL\n"
+      "                   still pins over this flag)\n"
       "  --gateway N      service mode: each batch round is served by N\n"
       "                   concurrent clients submitting through a coalescing\n"
       "                   BatchGateway (one shared drain per admission\n"
@@ -292,15 +290,14 @@ void print_shard_table(service::ShardedCorpus& corpus,
 
 // The rebalance signal, as the operator sees it: tiles each domain's own
 // workers drained vs. tiles other domains had to steal from it, and the
-// wall time spent in each (summed over workers).
+// wall time spent in each (summed over workers), after the service's one
+// rz_dot kernel.
 void print_domain_loads(const service::ServiceStats& stats) {
-  std::printf("per-domain load (kernel, drain/steal tiles, time):");
+  std::printf("kernel %s, per-domain load (drain/steal tiles, time):",
+              stats.kernel.c_str());
   for (std::size_t d = 0; d < stats.domain_loads.size(); ++d) {
     const DomainLoad& l = stats.domain_loads[d];
-    const char* kernel = d < stats.domain_kernels.size()
-                             ? stats.domain_kernels[d].c_str()
-                             : "?";
-    std::printf(" d%zu[%s]=%llu/%llu %.1f/%.1fms", d, kernel,
+    std::printf(" d%zu=%llu/%llu %.1f/%.1fms", d,
                 static_cast<unsigned long long>(l.tiles_drained),
                 static_cast<unsigned long long>(l.tiles_stolen),
                 static_cast<double>(l.drain_ns) * 1e-6,
@@ -611,7 +608,7 @@ int run(int argc, char** argv) {
          kernels::KernelRegistry::global().supported()) {
       std::fprintf(stderr, " %s", k->name);
     }
-    std::fprintf(stderr, " (plus \"auto\" and comma lists of these)\n");
+    std::fprintf(stderr, " (or \"auto\")\n");
     return 1;
   }
   if (!args.trace_path.empty()) {

@@ -60,9 +60,6 @@ struct ThreadPool::Impl {
     std::vector<std::thread> workers;
     std::size_t slots = 0;  // workers + (group 0 only) the caller
     std::unique_ptr<DomainArena> arena;
-    // Intersection of this group's per-worker cpuid probes (written under
-    // Impl::probe_mutex during construction, immutable afterwards).
-    CpuFeatures features = CpuFeatures::all();
     // Drain/steal accounting for work OWNED by this domain (join executor
     // tiles); padded out of the hot job-state line by position at the end.
     std::atomic<std::uint64_t> tiles_drained{0};
@@ -136,12 +133,6 @@ struct ThreadPool::Impl {
   std::uint64_t id = 0;
   std::deque<Group> groups;  // stable addresses (workers hold pointers)
   std::deque<ArenaCtx> arena_ctxs;
-  // Feature-probe rendezvous: each spawned worker probes cpuid once after
-  // pinning and ANDs into its group; the constructor waits for all probes
-  // so domain_features() is immutable from then on.
-  std::mutex probe_mutex;
-  std::condition_variable probe_cv;
-  std::size_t probes_pending = 0;
 
   static void arena_commit(void* ptr, std::size_t bytes, void* ctx);
 };
@@ -177,15 +168,16 @@ ThreadPool::ThreadPool(std::size_t threads, const Topology* topology)
   impl_->groups.resize(ndom);
   const std::size_t base = n / ndom;
   const std::size_t extra = n % ndom;
-  // Every spawned worker probes its cpu features once, ON its pinned cpus;
-  // the constructor waits for the probes below so domain_features() never
-  // races construction.  The caller's own probe seeds domain 0 (it occupies
-  // a domain-0 slot and participates in its drains).
-  impl_->probes_pending = n - 1;
-  impl_->groups[0].features = probe_cpu_features();
+  // The constructor does not wait for its workers: a job published before
+  // a worker reaches its loop is still picked up (the worker starts with
+  // seen = 0 against a bumped epoch), and a worker that starts after the
+  // job drained finds no chunk left.
   for (std::size_t d = 0; d < ndom; ++d) {
     Impl::Group& g = impl_->groups[d];
     g.slots = base + (d < extra ? 1 : 0);
+    impl_->arena_ctxs.push_back(Impl::ArenaCtx{this, d});
+    g.arena = std::make_unique<DomainArena>(&Impl::arena_commit,
+                                            &impl_->arena_ctxs.back());
     // The caller occupies one of domain 0's slots; every other slot is a
     // spawned worker pinned to its domain's cpus.
     const std::size_t spawn = d == 0 ? g.slots - 1 : g.slots;
@@ -195,12 +187,6 @@ ThreadPool::ThreadPool(std::size_t threads, const Topology* topology)
         t_domain = d;
         t_worker = true;
         Topology::pin_current_thread(impl_->topo.domain(d));
-        {
-          const CpuFeatures probed = probe_cpu_features();
-          std::lock_guard<std::mutex> lock(impl_->probe_mutex);
-          g.features = g.features.intersect(probed);
-          if (--impl_->probes_pending == 0) impl_->probe_cv.notify_all();
-        }
         std::uint64_t seen = 0;
         for (;;) {
           {
@@ -215,15 +201,6 @@ ThreadPool::ThreadPool(std::size_t threads, const Topology* topology)
         }
       });
     }
-  }
-  {
-    std::unique_lock<std::mutex> lock(impl_->probe_mutex);
-    impl_->probe_cv.wait(lock, [&] { return impl_->probes_pending == 0; });
-  }
-  for (std::size_t d = 0; d < ndom; ++d) {
-    impl_->arena_ctxs.push_back(Impl::ArenaCtx{this, d});
-    impl_->groups[d].arena = std::make_unique<DomainArena>(
-        &Impl::arena_commit, &impl_->arena_ctxs.back());
   }
 }
 
@@ -254,10 +231,6 @@ std::size_t ThreadPool::domain_size(std::size_t domain) const {
 }
 
 const Topology& ThreadPool::topology() const { return impl_->topo; }
-
-CpuFeatures ThreadPool::domain_features(std::size_t domain) const {
-  return impl_->groups[domain % impl_->groups.size()].features;
-}
 
 std::size_t ThreadPool::current_domain() { return t_domain; }
 
@@ -331,8 +304,10 @@ void ThreadPool::parallel_for(
     std::size_t begin, std::size_t end,
     const std::function<void(std::size_t, std::size_t)>& body) {
   if (begin >= end) return;
-  if (t_route >= 0 && !t_in_job) {
-    // DomainGuard routing: the historical API lands on one domain.
+  if (t_route >= 0 && !t_in_job && impl_->groups.size() > 1) {
+    // DomainGuard routing: the historical API lands on one domain.  A
+    // one-domain pool has no placement to keep, so the caller keeps its
+    // slot and the flat path below runs.
     run_on_domain(static_cast<std::size_t>(t_route), begin, end, body);
     return;
   }

@@ -20,7 +20,10 @@
 //                                 become run_on_domain(d, ...) — existing
 //                                 helpers (norm precompute, generators)
 //                                 become domain-resident without changing
-//                                 their signatures.
+//                                 their signatures.  A one-domain pool has
+//                                 no placement to keep: there the guard
+//                                 changes nothing and the caller still
+//                                 runs chunks.
 //
 // Calling parallel_for (either flavor) from inside a pool worker runs the
 // body inline and serially on that worker — nested fork-joins degrade
@@ -93,14 +96,6 @@ class ThreadPool {
   std::size_t domain_size(std::size_t domain) const;  // slots in `domain`
   const Topology& topology() const;
 
-  // SIMD features of `domain`'s workers (modulo the domain count): the
-  // intersection of cpuid probes run ON each pinned worker after pinning
-  // (plus the constructing thread for domain 0, whose slot it occupies).
-  // Heterogeneous-ISA machines answer differently per domain; the kernel
-  // registry resolves each domain's rz_dot variant from exactly this.
-  // Probes complete before the constructor returns, so reads are race-free.
-  CpuFeatures domain_features(std::size_t domain) const;
-
   // The execution domain of the calling thread: its group for pool workers,
   // 0 for everything else (the caller participates in domain 0's drains).
   static std::size_t current_domain();
@@ -170,8 +165,9 @@ class ThreadPool {
                            const Topology* topology = nullptr);
 
   // While alive, parallel_for calls from the constructing thread route to
-  // one domain.  Not nestable across threads (thread-local), nestable on
-  // one thread (restores the previous route).
+  // one domain of a multi-domain pool (a one-domain pool runs them flat).
+  // Not nestable across threads (thread-local), nestable on one thread
+  // (restores the previous route).
   class DomainGuard {
    public:
     explicit DomainGuard(std::size_t domain);

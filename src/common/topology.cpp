@@ -130,18 +130,6 @@ Topology Topology::detect() {
   return topo;
 }
 
-CpuFeatures probe_cpu_features() {
-  CpuFeatures f;
-#if (defined(__x86_64__) || defined(_M_X64)) && \
-    (defined(__GNUC__) || defined(__clang__))
-  f.avx2 = __builtin_cpu_supports("avx2");
-  f.fma = __builtin_cpu_supports("fma");
-  f.f16c = __builtin_cpu_supports("f16c");
-  f.avx512f = __builtin_cpu_supports("avx512f");
-#endif
-  return f;
-}
-
 bool Topology::pin_current_thread(const ExecutionDomain& domain) {
   if (domain.cpus.empty()) return false;
 #if defined(__linux__)

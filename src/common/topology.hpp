@@ -26,6 +26,10 @@
 // best-effort: a restricted cpuset (containers, taskset) makes pinning fail,
 // which WARNS ONCE and continues unpinned — placement is a performance hint,
 // never a correctness requirement.
+//
+// Domains concern memory, not ISA: a process sees one instruction set, so
+// every domain runs the engine's one rz_dot kernel
+// (core/kernels/kernel_context.hpp).
 
 #pragma once
 
@@ -44,38 +48,6 @@ struct ExecutionDomain {
   std::vector<int> cpus;  // empty: unpinned (synthetic "D" spec, fallback)
   int node = -1;          // sysfs NUMA node id; -1 for synthetic/fallback
 };
-
-// SIMD capabilities of one cpu (the subset the rz_dot kernel variants key
-// on).  Probed ON the thread in question — heterogeneous-ISA machines
-// (big.LITTLE, mixed fleets) can report different answers per domain, so
-// the ThreadPool runs the probe on each pinned worker group and intersects
-// (a domain only claims what EVERY one of its workers has).  All-false on
-// non-x86 builds: every consumer degrades to the scalar kernel.
-struct CpuFeatures {
-  bool avx2 = false;
-  bool fma = false;
-  bool f16c = false;
-  bool avx512f = false;
-
-  CpuFeatures intersect(const CpuFeatures& o) const {
-    CpuFeatures out;
-    out.avx2 = avx2 && o.avx2;
-    out.fma = fma && o.fma;
-    out.f16c = f16c && o.f16c;
-    out.avx512f = avx512f && o.avx512f;
-    return out;
-  }
-
-  static CpuFeatures all() {
-    CpuFeatures f;
-    f.avx2 = f.fma = f.f16c = f.avx512f = true;
-    return f;
-  }
-};
-
-// Probes the CALLING thread's cpu (cpuid via __builtin_cpu_supports).
-// Call after pinning for a domain-accurate answer.
-CpuFeatures probe_cpu_features();
 
 class Topology {
  public:

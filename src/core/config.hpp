@@ -38,13 +38,11 @@ struct FastedConfig {
 
   sim::DeviceSpec device = sim::DeviceSpec::a100_pcie();
 
-  // rz_dot kernel selection (core/kernels/kernel_context.hpp): "auto"
-  // resolves each execution domain to the widest variant its own pinned
-  // workers support; a name ("scalar", "avx2", "avx512") pins every
-  // domain; a comma list assigns entry d to domain d modulo the
-  // list length (heterogeneous per-domain assignments).  FASTED_RZ_KERNEL
-  // force-pins globally over any selection.  Execution policy only — every
-  // variant is bit-identical.
+  // rz_dot kernel selection (core/kernels/kernel_context.hpp): "auto" (or
+  // "") runs the widest variant this CPU supports; one name ("scalar",
+  // "avx2", "avx512") pins it.  FASTED_RZ_KERNEL pins over this field.
+  // Resolved once per FastedEngine.  Execution policy only — every variant
+  // is bit-identical.
   std::string rz_kernel = "auto";
 
   // Derived values.

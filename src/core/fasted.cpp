@@ -64,6 +64,7 @@ void query_row_join(const float* query, float query_norm,
 
 FastedEngine::FastedEngine(FastedConfig config) : config_(std::move(config)) {
   config_.validate();
+  kernel_ = &kernels::KernelRegistry::global().resolve(config_.rz_kernel);
 }
 
 PreparedShards prepare_shards(const MatrixF32& data, std::size_t shards,
@@ -311,8 +312,6 @@ QueryJoinOutput FastedEngine::query_join(const PreparedDataset& queries,
   const bool emulated = options.path == ExecutionPath::kEmulated;
   ShardedPlanSet set =
       compose_query_plans(config_, queries, shards, /*strip=*/false);
-  const kernels::KernelContext ctx =
-      kernels::KernelContext::resolve(config_.rz_kernel, ThreadPool::global());
 
   // With a tombstone filter, pair_count is the SURVIVING match count (raw
   // kernel emissions minus the sink's drops); shard_pairs stays raw — it
@@ -325,7 +324,7 @@ QueryJoinOutput FastedEngine::query_join(const PreparedDataset& queries,
     sink.filter_tombstones(options.tombstones);
     const std::uint64_t raw =
         kernels::execute_join(config_, set.span(), eps * eps, emulated, sink,
-                              out.shard_pairs.data(), ctx);
+                              out.shard_pairs.data(), *kernel_);
     out.pair_count = raw - sink.dropped();
     out.result = sink.finalize();
   } else {
@@ -333,7 +332,7 @@ QueryJoinOutput FastedEngine::query_join(const PreparedDataset& queries,
     sink.filter_tombstones(options.tombstones);
     const std::uint64_t raw =
         kernels::execute_join(config_, set.span(), eps * eps, emulated, sink,
-                              out.shard_pairs.data(), ctx);
+                              out.shard_pairs.data(), *kernel_);
     out.pair_count = raw - sink.dropped();
   }
   out.host_seconds = timer.seconds();
@@ -355,10 +354,8 @@ std::uint64_t FastedEngine::query_join_into(
   // per shard (a merging sink reassembles the shards per query strip).
   ShardedPlanSet set =
       compose_query_plans(config_, queries, shards, /*strip=*/true);
-  const kernels::KernelContext ctx =
-      kernels::KernelContext::resolve(config_.rz_kernel, ThreadPool::global());
   return kernels::execute_join(config_, set.span(), eps * eps,
-                               /*emulated=*/false, sink, nullptr, ctx);
+                               /*emulated=*/false, sink, nullptr, *kernel_);
 }
 
 JoinOutput FastedEngine::self_join(const MatrixF32& data, float eps,
@@ -393,8 +390,6 @@ JoinOutput FastedEngine::self_join(std::span<const CorpusShardView> shards,
   const bool emulated = options.path == ExecutionPath::kEmulated;
   const float eps2 = eps * eps;
   ShardedPlanSet set = compose_self_plans(config_, shards);
-  const kernels::KernelContext ctx =
-      kernels::KernelContext::resolve(config_.rz_kernel, ThreadPool::global());
 
   // Tombstoned rows contribute no pairs and no self pair: the sink drops
   // any upper-triangle hit touching a dead row, and the count arithmetic
@@ -408,7 +403,7 @@ JoinOutput FastedEngine::self_join(std::span<const CorpusShardView> shards,
     kernels::SelfJoinCsrSink sink(n);
     sink.filter_tombstones(options.tombstones);
     const std::uint64_t hits = kernels::execute_join(
-        config_, set.span(), eps2, emulated, sink, nullptr, ctx);
+        config_, set.span(), eps2, emulated, sink, nullptr, *kernel_);
     out.pair_count = 2 * (hits - sink.dropped()) + alive;
     out.result = sink.finalize();
     FASTED_CHECK(out.result.pair_count() == out.pair_count);
@@ -416,7 +411,7 @@ JoinOutput FastedEngine::self_join(std::span<const CorpusShardView> shards,
     kernels::CountSink sink(/*self_ends=*/true);
     sink.filter_tombstones(options.tombstones);
     const std::uint64_t hits = kernels::execute_join(
-        config_, set.span(), eps2, emulated, sink, nullptr, ctx);
+        config_, set.span(), eps2, emulated, sink, nullptr, *kernel_);
     out.pair_count = 2 * (hits - sink.dropped()) + alive;
   }
   out.host_seconds = timer.seconds();

@@ -272,8 +272,14 @@ class FastedEngine {
 
   const FastedConfig& config() const { return config_; }
 
+  // The rz_dot kernel every join of this engine runs, resolved once from
+  // FASTED_RZ_KERNEL, config().rz_kernel and the CPU
+  // (core/kernels/kernel_context.hpp).
+  const kernels::RzDotKernel& kernel() const { return *kernel_; }
+
  private:
   FastedConfig config_;
+  const kernels::RzDotKernel* kernel_ = nullptr;
 };
 
 // FP16-32 expanded-form squared distance between two quantized points given
@@ -287,8 +293,8 @@ float fasted_pair_dist2(const float* pi, const float* pj, std::size_t dims,
 // of one prepared query row, with pipeline squared distances, ascending
 // corpus id — a one-query convenience over the shared rz_dot panel kernels
 // (kNN straggler sweeps) that widens the corpus's resident panels; pass
-// eps2 = infinity to rank the whole corpus.  Callers that resolved a
-// per-domain KernelContext pass the owning domain's kernel.
+// eps2 = infinity to rank the whole corpus.  Engine callers pass
+// FastedEngine::kernel(), so these distances equal the engine's joins.
 void query_row_join(const float* query, float query_norm,
                     const PreparedDataset& corpus, std::size_t begin,
                     std::size_t end, float eps2,

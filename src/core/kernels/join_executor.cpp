@@ -72,7 +72,7 @@ std::uint64_t execute_join(const FastedConfig& cfg,
                            std::span<ShardJoin> entries, float eps2,
                            bool emulated, ResultSink& sink,
                            std::uint64_t* per_entry_hits,
-                           const KernelContext& ctx) {
+                           const RzDotKernel& kernel) {
   FASTED_CHECK_MSG(!entries.empty(), "join executor needs at least one plan");
   // All entries of one sharded join share dims, so the per-worker panel
   // scratch is sized once for the whole span.
@@ -118,16 +118,11 @@ std::uint64_t execute_join(const FastedConfig& cfg,
   std::vector<std::atomic<std::uint64_t>> entry_hits(
       per_entry_hits != nullptr ? entries.size() : 0);
 
-  // Tiles-per-kernel counters, resolved once per join (registry lookups
-  // take a mutex): index d holds the counter for the kernel serving domain
-  // d, attributed like the domain loads — to the entry's OWNER.  They flow
-  // into stats_json()'s registry section.
+  // The kernel's tile counter, looked up once per join (registry lookups
+  // take a mutex); it flows into stats_json()'s registry section.
+  obs::ConcurrentCounter& kernel_tiles = obs::Registry::global().counter(
+      std::string("kernel.tiles.") + kernel.name);
   const std::size_t dcount = pool.domain_count();
-  std::vector<obs::ConcurrentCounter*> kernel_tiles(dcount);
-  for (std::size_t d = 0; d < dcount; ++d) {
-    kernel_tiles[d] = &obs::Registry::global().counter(
-        std::string("kernel.tiles.") + ctx.kernel(d).name);
-  }
 
   const auto drain_worker = [&] {
     // Clamped so a confined (flat) drain from a non-zero-domain worker
@@ -155,9 +150,6 @@ std::uint64_t execute_join(const FastedConfig& cfg,
     // the tail when stealing — and emits its hits.
     const auto drain_entry = [&](std::size_t ei, bool from_tail) {
       const ShardJoin& entry = entries[ei];
-      // The entry's owning domain picks the kernel — per-domain dispatch,
-      // not per-process and not per-executing-worker (see header).
-      const RzDotKernel& kern = ctx.kernel(entry.domain);
       JoinPlan& plan = *entry.plan;
       const MatrixF32& q = entry.in.queries->values();
       const PreparedDataset& c = *entry.in.corpus;
@@ -206,14 +198,14 @@ std::uint64_t execute_join(const FastedConfig& cfg,
           // tile are masked off.
           for (std::size_t p0 = t.c0 / kPanelWidth * kPanelWidth; p0 < t.c1;
                p0 += kPanelWidth) {
-            kern.widen_panel(c.panel(p0 / kPanelWidth), dims_all, panel);
+            kernel.widen_panel(c.panel(p0 / kPanelWidth), dims_all, panel);
             const std::size_t width = std::min(kPanelWidth, t.c1 - p0);
             const std::uint32_t lanes = lanes_within(p0, t.c0, t.c1);
             for (std::size_t i0 = t.q0; i0 < t.q1; i0 += kQueryBlock) {
               const std::size_t nq = std::min(kQueryBlock, t.q1 - i0);
               const PanelEpilogue ep{&sq[i0], &sc[p0], width, eps2};
-              kern.dot_panel_hits(q.row(i0), q.stride(), nq, panel, dims_all,
-                                  ep, acc, masks);
+              kernel.dot_panel_hits(q.row(i0), q.stride(), nq, panel,
+                                    dims_all, ep, acc, masks);
               for (std::size_t qi = 0; qi < nq; ++qi) {
                 const std::size_t i = i0 + qi;
                 std::uint32_t m = masks[qi] & lanes;
@@ -289,13 +281,15 @@ std::uint64_t execute_join(const FastedConfig& cfg,
     if (collect && !hits.empty()) {
       sink.consume(TileRange{}, std::span<const PairHit>(hits));
     }
+    std::uint64_t worker_tiles = 0;
     for (std::size_t d = 0; d < dcount; ++d) {
       if (tiles_drained[d] != 0 || tiles_stolen[d] != 0) {
         pool.add_domain_load(d, tiles_drained[d], tiles_stolen[d], drain_ns[d],
                              steal_ns[d]);
-        kernel_tiles[d]->add(tiles_drained[d] + tiles_stolen[d]);
+        worker_tiles += tiles_drained[d] + tiles_stolen[d];
       }
     }
+    if (worker_tiles != 0) kernel_tiles.add(worker_tiles);
     total.fetch_add(worker_total, std::memory_order_relaxed);
   };
   // A sink that rejects a tile (a CheckError from consume) throws out of

@@ -1,5 +1,5 @@
 // The unified join executor: drains JoinPlan tiles on the shared ThreadPool,
-// evaluates every (query, corpus) cell with the dispatched rz_dot kernel (or
+// evaluates every (query, corpus) cell with the engine's rz_dot kernel (or
 // the emulated block-tile data path), and hands within-eps hits to a
 // ResultSink.  Both of FastedEngine's join shapes — the self-join and the
 // query join (CSR, count-only or sink-directed) — over one shard or many
@@ -34,8 +34,8 @@
 #include "common/matrix.hpp"
 #include "core/config.hpp"
 #include "core/kernels/join_plan.hpp"
-#include "core/kernels/kernel_context.hpp"
 #include "core/kernels/result_sink.hpp"
+#include "core/kernels/rz_dot.hpp"
 
 namespace fasted {
 class PreparedDataset;
@@ -82,19 +82,12 @@ struct ShardJoin {
 // work, which is what the skew/rebalance consumers want).  If sink.consume
 // throws (a per-tile sink rejecting a tile it cannot place), the drain
 // finishes and the first exception is rethrown on the calling thread.
-// The kernel context is always passed explicitly: each entry's
-// tiles run the kernel `ctx` resolved for the entry's OWNING domain (the
-// same modulo routing that places the entry), so heterogeneous-ISA domains
-// each run their own backend — bit-identically, since every variant
-// reproduces the scalar chain.  With stealing on, a stronger domain's
-// kernel may execute on a weaker domain's worker (the kernel follows the
-// ENTRY, not the thief); genuinely mixed-ISA fleets should pair per-domain
-// kernels with steal off — synthetic heterogeneous assignments (scalar vs
-// any) are safe anywhere.
+// Every tile runs `kernel`, the one the engine resolved at construction
+// (FastedEngine::kernel()); its tiles count into kernel.tiles.<name>.
 std::uint64_t execute_join(const FastedConfig& cfg,
                            std::span<ShardJoin> entries, float eps2,
                            bool emulated, ResultSink& sink,
                            std::uint64_t* per_entry_hits,
-                           const KernelContext& ctx);
+                           const RzDotKernel& kernel);
 
 }  // namespace fasted::kernels

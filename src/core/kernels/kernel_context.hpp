@@ -1,42 +1,31 @@
-// Explicit kernel dispatch: the registry of rz_dot backends and the
-// per-domain context the join executor threads through every layer.
+// The rz_dot kernel registry: the compiled-in variants this process can
+// run, and the one kernel each engine runs.
 //
-// Historically the kernel was a process-global: a lazy dispatch function
-// pinned the widest supported variant (or FASTED_RZ_KERNEL), and a mutable
-// override let benchmarks re-pin it — racy under concurrent services, and
-// blind to heterogeneous machines where different execution domains support
-// different ISAs (big.LITTLE, mixed-ISA fleets).  This header replaces the
-// global with two explicit pieces:
+// An x86 process sees one ISA: __builtin_cpu_supports reads libgcc's
+// __cpu_model, which __cpu_indicator_init fills once per process, so every
+// thread — pinned or not, in any execution domain — gets the same answer.
+// The kernel is therefore resolved once per FastedEngine, at construction
+// (FastedEngine::kernel()), and passed explicitly to execute_join and
+// query_row_join.  There is no ambient process-global kernel and no
+// mutable override: two engines with different selections run side by
+// side without interfering.
 //
 //   KernelRegistry   the immutable process-wide table of compiled-in
 //                    variants, built ONCE (a leaked singleton, like
 //                    obs::Registry) with the runtime CPU gates and the
-//                    FASTED_RZ_KERNEL parse folded in.  Nothing in it is
-//                    mutable after construction, so concurrent services
-//                    cannot interfere.
-//   KernelContext    one resolved kernel PER EXECUTION DOMAIN, constructed
-//                    from a selection string + the pool's per-domain
-//                    feature probes and passed explicitly to execute_join.
-//                    Tests build scoped contexts directly; nothing is
-//                    pinned behind anyone's back.
+//                    FASTED_RZ_KERNEL parse folded in.
 //
-// Selection strings (FastedConfig::rz_kernel, fasted_cli --kernel):
-//   "auto" (or "")      every domain gets the widest variant its own pinned
-//                       workers support (ThreadPool::domain_features).
-//   "scalar"            one name pins every domain.
-//   "scalar,avx2"       a comma list assigns entry d to domain d (modulo
-//                       the list length) — heterogeneous per-domain
-//                       assignments, expressible through the config
-//                       even on homogeneous machines.
-// A selected name this build or CPU cannot run warns once per name on
-// stderr and falls back to that domain's best — a pinned run is never
-// silently attributed to the wrong kernel.  FASTED_RZ_KERNEL force-pins
-// every domain over any selection (the CI scalar leg and tests use it).
+// Selections (FastedConfig::rz_kernel, fasted_cli --kernel): "auto" (or
+// "") for the widest variant this CPU runs, or exactly one of "scalar",
+// "avx2", "avx512".  Anything else fails FastedConfig::validate.
+// Resolution order: FASTED_RZ_KERNEL (when it names a variant this CPU
+// runs; "auto" means no pin), then the selection, then best().  A known
+// name this CPU cannot run warns once per name on stderr and falls back to
+// best() — a pinned run is never silently attributed to the wrong kernel.
 //
 // Kernel choice is pure execution policy: every variant reproduces the
-// scalar RZ chain bit-for-bit (rz_dot.hpp), so any assignment — including
-// mixed per-domain ones — yields bit-identical join results.  The
-// heterogeneous-dispatch property tests pin exactly this.
+// scalar RZ chain bit-for-bit (rz_dot.hpp), so every selection yields
+// bit-identical join results.
 
 #pragma once
 
@@ -44,7 +33,6 @@
 #include <string>
 #include <vector>
 
-#include "common/topology.hpp"
 #include "core/kernels/rz_dot.hpp"
 
 namespace fasted {
@@ -69,23 +57,17 @@ class KernelRegistry {
   // runnable here.
   const RzDotKernel* find(const std::string& name) const;
 
-  // The widest variant the whole process supports.
+  // The widest variant this process runs.
   const RzDotKernel& best() const { return *supported_.back(); }
 
-  // The widest supported variant whose ISA requirements `f` meets — the
-  // per-domain resolution primitive (f comes from the domain's own pinned
-  // workers).  Scalar always qualifies.
-  const RzDotKernel& best_for(const CpuFeatures& f) const;
-
-  // The FASTED_RZ_KERNEL force-pin, parsed once at registry construction;
-  // nullptr when unset (or named an unsupported variant, which warned).
+  // The FASTED_RZ_KERNEL pin, parsed once at registry construction;
+  // nullptr when unset, "auto", or naming a variant this CPU cannot run
+  // (which warned).
   const RzDotKernel* env_pin() const { return env_pin_; }
 
-  // True iff `name` is a compiled-in variant name ("scalar", "avx2",
-  // "avx512") — independent of what this CPU supports — or a retired one
-  // ("avx512fp16"), which older schedules and scripts still name: those
-  // load and fall back to the per-domain best with the one-time warning.
-  static bool known_name(const std::string& name);
+  // The kernel an engine configured with `selection` runs, in the
+  // resolution order above.
+  const RzDotKernel& resolve(const std::string& selection) const;
 
  private:
   KernelRegistry();
@@ -94,34 +76,22 @@ class KernelRegistry {
   const RzDotKernel* env_pin_ = nullptr;
 };
 
-// True iff `selection` is syntactically valid: empty, "auto", a known
-// variant name, or a comma list of those.  FastedConfig::validate and the
-// CLI use this — an unknown name should fail loudly up front, not warn at
-// join time.
+// True iff `selection` is "", "auto" or a compiled-in variant name —
+// independent of what this CPU runs.  FastedConfig::validate and the CLI
+// use this: an unknown name fails loudly up front.
 bool kernel_selection_known(const std::string& selection);
 
+// The benchmark's view of the resolved kernel: resolve(selection, pool)
+// gives KernelRegistry::resolve(selection) for every domain.
 class KernelContext {
  public:
-  // Scoped explicit context (tests): entry d serves domain d, modulo size.
-  // At least one kernel is required.
-  explicit KernelContext(std::vector<const RzDotKernel*> per_domain);
-
-  // Resolves `selection` (see file comment) against the pool's per-domain
-  // feature probes.  Precedence per domain: FASTED_RZ_KERNEL force-pin,
-  // then the selection entry, then the domain's best.
   static KernelContext resolve(const std::string& selection,
                                const ThreadPool& pool);
-
-  // The kernel serving `domain` (modulo the context's size, matching the
-  // executor's entry.domain % domain_count routing).
-  const RzDotKernel& kernel(std::size_t domain) const {
-    return *per_domain_[domain % per_domain_.size()];
-  }
-
-  std::size_t domain_count() const { return per_domain_.size(); }
+  const RzDotKernel& kernel(std::size_t /*domain*/) const { return *kernel_; }
 
  private:
-  std::vector<const RzDotKernel*> per_domain_;
+  explicit KernelContext(const RzDotKernel& k) : kernel_(&k) {}
+  const RzDotKernel* kernel_;
 };
 
 }  // namespace fasted::kernels

@@ -148,9 +148,10 @@ const RzDotKernel& rz_dot_scalar();
 
 // SIMD variants; nullptr when the build or the running CPU lacks support.
 // Which variant actually runs is not decided here: the immutable
-// KernelRegistry (core/kernels/kernel_context.hpp) enumerates these, and a
-// per-domain KernelContext is threaded explicitly through the executor —
-// there is no ambient process-global kernel and no mutable override.
+// KernelRegistry (core/kernels/kernel_context.hpp) enumerates these, each
+// FastedEngine resolves one at construction, and the engine passes it
+// explicitly to the executor — there is no ambient process-global kernel
+// and no mutable override.
 const RzDotKernel* rz_dot_avx2();
 const RzDotKernel* rz_dot_avx512();
 

@@ -26,11 +26,9 @@
 // batch composition.
 //
 // Kernel selection rides through unchanged: the coalesced drain runs on
-// the service's engine, whose config carries the rz_dot selection, and the
-// executor resolves a kernels::KernelContext from it per join — so a
-// gateway-coalesced window is bit-identical to sequential serving under
-// ANY kernel assignment (the heterogeneous-dispatch property tests pin the
-// coalesced path explicitly).
+// the service's engine and its one rz_dot kernel (FastedEngine::kernel()),
+// so a gateway-coalesced window is bit-identical to sequential serving
+// under any kernel (GatewayCoalescing.* on the FASTED_RZ_KERNEL CI legs).
 //
 // Backpressure is the ring: try_submit returns nullptr when it is full (or
 // the gateway is stopped) — callers see the rejection immediately, nothing

@@ -11,7 +11,6 @@
 #include "common/check.hpp"
 #include "common/parallel.hpp"
 #include "core/kernels/demux_sink.hpp"
-#include "core/kernels/kernel_context.hpp"
 #include "core/kernels/merging_sink.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -362,11 +361,8 @@ std::size_t JoinService::knn_fill(const PreparedDataset& queries,
     obs::PhaseTimer brute_timer(phases_->knn_brute);
     obs::TraceSpan brute_span("knn_brute", "service");
     const float inf = std::numeric_limits<float>::infinity();
-    // The sweep runs the same kernel the tiled path would: each shard's
-    // rows go through the kernel of its owning domain, so sweep distances
-    // are bit-identical to tile distances under any kernel selection.
-    const kernels::KernelContext kctx = kernels::KernelContext::resolve(
-        engine_.config().rz_kernel, ThreadPool::global());
+    // The sweep runs the engine's kernel, like the tiled path, so sweep
+    // distances are bit-identical to tile distances.
     parallel_for(0, active.size(), [&](std::size_t lo, std::size_t hi) {
       for (std::size_t a = lo; a < hi; ++a) {
         const std::size_t i = active[a];
@@ -376,7 +372,7 @@ std::size_t JoinService::knn_fill(const PreparedDataset& queries,
           const std::size_t before = row.size();
           query_row_join(queries.values().row(i), queries.norms()[i],
                          *view.prepared, 0, view.prepared->rows(), inf,
-                         kctx.kernel(view.domain), row);
+                         engine_.kernel(), row);
           if (view.base != 0) {
             for (std::size_t r = before; r < row.size(); ++r) {
               row[r].id += static_cast<std::uint32_t>(view.base);
@@ -444,12 +440,7 @@ ServiceStats JoinService::stats() const {
   // service sharing the pool never shows up here.
   out.domain_loads =
       ThreadPool::global().domain_loads_since(pool_baseline_);
-  const kernels::KernelContext kctx = kernels::KernelContext::resolve(
-      engine_.config().rz_kernel, ThreadPool::global());
-  out.domain_kernels.reserve(out.domain_loads.size());
-  for (std::size_t d = 0; d < out.domain_loads.size(); ++d) {
-    out.domain_kernels.emplace_back(kctx.kernel(d).name);
-  }
+  out.kernel = engine_.kernel().name;
   const std::pair<const char*, const obs::ConcurrentHistogram*> phases[] = {
       {"admission_wait", &phases_->admission_wait},
       {"calibrate", &phases_->calibrate},
@@ -473,7 +464,8 @@ std::string ServiceStats::json() const {
      << ",\"pairs\":" << pairs << ",\"pairs_tombstoned\":" << pairs_tombstoned
      << ",\"knn_brute_force_queries\":" << knn_brute_force_queries
      << ",\"coalesced_windows\":" << coalesced_windows
-     << ",\"coalesced_requests\":" << coalesced_requests;
+     << ",\"coalesced_requests\":" << coalesced_requests
+     << ",\"kernel\":\"" << kernel << "\"";
   os << ",\"phases\":{";
   for (std::size_t i = 0; i < phase_latencies.size(); ++i) {
     const PhaseLatency& p = phase_latencies[i];
@@ -487,9 +479,7 @@ std::string ServiceStats::json() const {
   for (std::size_t d = 0; d < domain_loads.size(); ++d) {
     const DomainLoad& l = domain_loads[d];
     if (d != 0) os << ",";
-    os << "{\"domain\":" << d << ",\"kernel\":\""
-       << (d < domain_kernels.size() ? domain_kernels[d] : "") << "\""
-       << ",\"tiles_drained\":" << l.tiles_drained
+    os << "{\"domain\":" << d << ",\"tiles_drained\":" << l.tiles_drained
        << ",\"tiles_stolen\":" << l.tiles_stolen
        << ",\"drain_ns\":" << l.drain_ns << ",\"steal_ns\":" << l.steal_ns
        << "}";

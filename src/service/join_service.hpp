@@ -117,17 +117,16 @@ struct ServiceStats {
   // than tiles_drained[d] means domain d cannot keep up with its own
   // shards — exactly the signal ShardedCorpus::rebalance() acts on.
   std::vector<DomainLoad> domain_loads;
-  // Resolved rz_dot kernel name per execution domain (same indexing as
-  // domain_loads): the engine's kernel selection resolved against the
-  // pool's per-domain CPU features at stats() time.  Reflects what a join
-  // issued NOW would run — FASTED_RZ_KERNEL pins show up here too.
-  std::vector<std::string> domain_kernels;
+  // The rz_dot kernel every join of this service runs (FastedEngine::
+  // kernel(), FASTED_RZ_KERNEL pins included).
+  std::string kernel;
   // One entry per serve phase with recorded samples (admission_wait,
   // calibrate, eps_drain, coalesced_drain, stream_deliver, knn_round,
   // knn_brute).
   std::vector<PhaseLatency> phase_latencies;
 
-  // The whole struct as one JSON object (counters, phases, domain loads).
+  // The whole struct as one JSON object (counters, kernel, phases, domain
+  // loads).
   std::string json() const;
 };
 

@@ -234,7 +234,8 @@ std::shared_ptr<const std::vector<double>> ShardedCorpus::block_of(
   // FP64 distances from s's sample rows to every row of t, self-pairs
   // excluded when s and t are the same shard build, each sample row's run
   // sorted ascending for calibrate_over's merge walk.  The scan streams
-  // every row of t, so the guard routes it to t's owning domain.
+  // every row of t, so on a multi-domain pool the guard routes it to t's
+  // owning domain (a one-domain pool runs it flat, caller included).
   const bool self = s.generation == t.generation;
   const std::size_t per_run = t.rows() - (self ? 1 : 0);
   auto block =

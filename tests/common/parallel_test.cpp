@@ -275,6 +275,59 @@ TEST(ThreadPool, DomainGuardRoutesPlainParallelFor) {
   EXPECT_GT(per_domain[1].load(), 0);
 }
 
+TEST(ThreadPool, DomainGuardKeepsCallerSlotOnOneDomainPool) {
+  // A one-domain pool has no placement to keep, so a guarded parallel_for
+  // runs flat and the caller takes a chunk.  Each chunk waits up to 2 s
+  // for the other to start: with the caller only waiting, the pool's one
+  // worker would run both chunks in turn and neither on the caller.
+  const Topology topo = Topology::synthetic(1);
+  ThreadPool pool(2, &topo);
+  ASSERT_EQ(pool.domain_count(), 1u);
+  const auto caller = std::this_thread::get_id();
+  std::atomic<int> started{0};
+  std::atomic<bool> caller_ran{false};
+  {
+    ThreadPool::DomainGuard guard(0);
+    pool.parallel_for(0, 2, [&](std::size_t, std::size_t) {
+      started.fetch_add(1);
+      const auto give_up =
+          std::chrono::steady_clock::now() + std::chrono::seconds(2);
+      while (started.load() < 2 && std::chrono::steady_clock::now() < give_up) {
+        std::this_thread::yield();
+      }
+      if (std::this_thread::get_id() == caller) caller_ran = true;
+    });
+  }
+  EXPECT_EQ(started.load(), 2);
+  EXPECT_TRUE(caller_ran.load());
+}
+
+TEST(ThreadPool, JobsRightAfterConstructionCoverEveryIndexOnce) {
+  // The constructor returns before its workers have pinned themselves or
+  // reached their loop: jobs issued at once must still run every index
+  // exactly once, and a pool destroyed before any job must join cleanly.
+  const Topology topo = Topology::synthetic(2);
+  for (int round = 0; round < 200; ++round) {
+    ThreadPool pool(4, &topo);
+    if (round % 2 == 1) continue;  // build and destroy, nothing run
+    std::vector<std::atomic<int>> on_domain(64);
+    std::vector<std::atomic<int>> flat(64);
+    pool.run_on_domain(1, 0, on_domain.size(),
+                       [&](std::size_t b, std::size_t e) {
+                         for (std::size_t i = b; i < e; ++i) {
+                           on_domain[i].fetch_add(1);
+                         }
+                       });
+    pool.parallel_for(0, flat.size(), [&](std::size_t b, std::size_t e) {
+      for (std::size_t i = b; i < e; ++i) flat[i].fetch_add(1);
+    });
+    for (std::size_t i = 0; i < flat.size(); ++i) {
+      ASSERT_EQ(on_domain[i].load(), 1) << "round " << round << " i " << i;
+      ASSERT_EQ(flat[i].load(), 1) << "round " << round << " i " << i;
+    }
+  }
+}
+
 TEST(ThreadPool, DomainArenaCommitsOnOwningDomain) {
   const Topology topo = Topology::synthetic(2);
   ThreadPool pool(4, &topo);

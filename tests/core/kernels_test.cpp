@@ -374,20 +374,41 @@ TEST(RzDotKernels, RegistryResolvesKnownVariantsOnly) {
   bool best_found = false;
   for (const kernels::RzDotKernel* s : reg.supported()) {
     EXPECT_EQ(reg.find(s->name), s) << s->name;
-    EXPECT_TRUE(kernels::KernelRegistry::known_name(s->name)) << s->name;
     if (s == &reg.best()) best_found = true;
   }
   EXPECT_TRUE(best_found) << reg.best().name;
   EXPECT_EQ(reg.find("no-such-kernel"), nullptr);
-  EXPECT_FALSE(kernels::KernelRegistry::known_name("no-such-kernel"));
-  // A retired variant stays a known selection but never resolves.
-  EXPECT_TRUE(kernels::KernelRegistry::known_name("avx512fp16"));
-  EXPECT_EQ(reg.find("avx512fp16"), nullptr);
-  // Selection strings: names, "auto", and comma lists of them.
+  // Every compiled-in name is a valid selection; resolve() gives the named
+  // kernel when this CPU runs it and best() otherwise (FASTED_RZ_KERNEL,
+  // when it pins a kernel, wins over both).
+  for (const char* name : {"scalar", "avx2", "avx512"}) {
+    EXPECT_TRUE(kernels::kernel_selection_known(name)) << name;
+    const kernels::RzDotKernel* named = reg.find(name);
+    const kernels::RzDotKernel& want =
+        reg.env_pin() != nullptr ? *reg.env_pin()
+        : named != nullptr       ? *named
+                                 : reg.best();
+    EXPECT_EQ(&reg.resolve(name), &want) << name;
+    FastedConfig cfg = FastedConfig::paper_defaults();
+    cfg.rz_kernel = name;
+    EXPECT_EQ(&FastedEngine(cfg).kernel(), &want) << name;
+  }
+  const kernels::RzDotKernel& auto_want =
+      reg.env_pin() != nullptr ? *reg.env_pin() : reg.best();
+  EXPECT_EQ(&reg.resolve("auto"), &auto_want);
+  EXPECT_EQ(&reg.resolve(""), &auto_want);
+  EXPECT_EQ(&FastedEngine().kernel(), &auto_want);
+  // Selections are "", "auto" or exactly one name: comma lists, unknown
+  // names and the retired avx512fp16 fail validate().
   EXPECT_TRUE(kernels::kernel_selection_known("auto"));
-  EXPECT_TRUE(kernels::kernel_selection_known("scalar"));
-  EXPECT_TRUE(kernels::kernel_selection_known("scalar,auto"));
-  EXPECT_FALSE(kernels::kernel_selection_known("scalar,bogus"));
+  EXPECT_TRUE(kernels::kernel_selection_known(""));
+  for (const char* bad : {"scalar,avx2", "scalar,auto", "avx512fp16",
+                          "no-such-kernel", " scalar"}) {
+    EXPECT_FALSE(kernels::kernel_selection_known(bad)) << bad;
+    FastedConfig cfg = FastedConfig::paper_defaults();
+    cfg.rz_kernel = bad;
+    EXPECT_THROW(cfg.validate(), CheckError) << bad;
+  }
 }
 
 TEST(RzDotKernels, ScalarConfigReproducesAutoSelectedJoinExactly) {
@@ -404,30 +425,6 @@ TEST(RzDotKernels, ScalarConfigReproducesAutoSelectedJoinExactly) {
   ASSERT_EQ(dispatched.pair_count, scalar.pair_count);
   EXPECT_EQ(dispatched.result.offsets(), scalar.result.offsets());
   EXPECT_EQ(dispatched.result.neighbors(), scalar.result.neighbors());
-}
-
-TEST(RzDotKernels, RetiredKernelNameFallsBackToDomainBest) {
-  // A config naming the retired avx512fp16 variant still validates; the
-  // name resolves like any unsupported one: each domain gets its own best
-  // kernel (after a one-time warning), and joins run unchanged.
-  FastedConfig cfg = FastedConfig::paper_defaults();
-  cfg.rz_kernel = "avx512fp16";
-  cfg.validate();
-
-  const ThreadPool& pool = ThreadPool::global();
-  const auto ctx = kernels::KernelContext::resolve(cfg.rz_kernel, pool);
-  const kernels::KernelRegistry& reg = kernels::KernelRegistry::global();
-  for (std::size_t d = 0; d < pool.domain_count(); ++d) {
-    const kernels::RzDotKernel& want =
-        reg.env_pin() != nullptr ? *reg.env_pin()
-                                 : reg.best_for(pool.domain_features(d));
-    EXPECT_EQ(&ctx.kernel(d), &want) << d;
-  }
-  const auto data = data::uniform(200, 16, 5);
-  const auto retired = FastedEngine(cfg).self_join(data, 0.9f);
-  const auto defaults = FastedEngine().self_join(data, 0.9f);
-  EXPECT_EQ(retired.pair_count, defaults.pair_count);
-  EXPECT_EQ(retired.result.neighbors(), defaults.result.neighbors());
 }
 
 TEST(ResultSinks, CountCsrAndStreamingAgreePairForPair) {

@@ -1,10 +1,11 @@
 // Engine-config invariance, tested exhaustively over the execution knobs:
-// block-tile shape, tile dispatch order, shard capacity, cross-domain
-// stealing, shard count and execution-domain count change only how a join
-// runs, never its answer.  Every combination must give bit-identical
-// eps-join, kNN and self-join results against the flat-pool references.
-// (The rz_dot kernel selection is the remaining knob; hetero_kernel_test
-// and the FASTED_RZ_KERNEL CI legs cover it.)
+// block-tile shape, tile dispatch order, rz_dot kernel, shard capacity,
+// cross-domain stealing, shard count and execution-domain count change
+// only how a join runs, never its answer.  Every combination must give
+// bit-identical eps-join, kNN and self-join results against the flat-pool
+// references.  The kernel configs cover every variant this CPU runs (the
+// FASTED_RZ_KERNEL CI legs pin each one over the whole suite), and two
+// services on different kernels serve concurrently without interfering.
 
 #include <gtest/gtest.h>
 
@@ -13,12 +14,14 @@
 #include <cstdlib>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "../service_reference.hpp"
 #include "common/parallel.hpp"
 #include "common/topology.hpp"
 #include "core/fasted.hpp"
+#include "core/kernels/kernel_context.hpp"
 #include "data/calibrate.hpp"
 #include "data/generators.hpp"
 #include "service/join_service.hpp"
@@ -63,7 +66,7 @@ class ScopedSteal {
 // Square and rectangular block tiles ({64, 128}^2, warp tiles capped at
 // 64 so the warp grid covers the tile) x dispatch {squares 4, squares 16,
 // row-major}, plus one tile width that is not a multiple of the panel
-// width.
+// width, plus the default tile on each rz_dot kernel this CPU runs.
 std::vector<FastedConfig> engine_configs() {
   std::vector<FastedConfig> out;
   for (const int tm : {64, 128}) {
@@ -97,6 +100,13 @@ std::vector<FastedConfig> engine_configs() {
   unaligned.warps_per_block = 3;
   unaligned.validate();
   out.push_back(unaligned);
+  for (const kernels::RzDotKernel* k :
+       kernels::KernelRegistry::global().supported()) {
+    FastedConfig cfg = FastedConfig::paper_defaults();
+    cfg.rz_kernel = k->name;
+    cfg.validate();
+    out.push_back(cfg);
+  }
   return out;
 }
 
@@ -216,6 +226,58 @@ TEST(ConfigInvariance, SelfJoinBitIdenticalForEveryConfig) {
         ASSERT_EQ(got.result.neighbors(), expect.result.neighbors()) << label;
       }
     }
+  }
+}
+
+TEST(ConfigInvariance, ConcurrentServicesWithDifferentKernelsDoNotInterfere) {
+  // Each engine holds its own kernel, so two services on different kernels
+  // serving concurrently on the shared pool must each keep producing their
+  // own (identical) exact results.  A mutable process-global kernel would
+  // race here; the sanitizer jobs run this case.
+  const auto data = data::uniform(300, 12, 1807);
+  const auto queries = data::uniform(50, 12, 1808);
+  const float eps = data::calibrate_epsilon(data, 20.0).eps;
+
+  QueryJoinOutput expect;
+  {
+    ScopedTopology flat(1);
+    expect = reference::eps_reference(data, queries, eps);
+  }
+
+  ScopedTopology topo(2);
+  FastedConfig scalar_cfg = FastedConfig::paper_defaults();
+  scalar_cfg.rz_kernel = "scalar";
+  const auto make_service = [&](const FastedConfig& cfg) {
+    return std::make_shared<JoinService>(
+        std::make_shared<ShardedCorpus>(MatrixF32(data),
+                                        ShardedCorpusOptions{}),
+        FastedEngine(cfg));
+  };
+  const auto scalar_svc = make_service(scalar_cfg);
+  const auto best_svc = make_service(FastedConfig::paper_defaults());
+
+  constexpr int kIters = 8;
+  std::vector<std::thread> workers;
+  for (const auto& svc : {scalar_svc, best_svc}) {
+    workers.emplace_back([&, svc] {
+      for (int i = 0; i < kIters; ++i) {
+        EpsQuery local;
+        local.points = MatrixF32(queries);
+        local.eps = eps;
+        expect_same_eps(expect, svc->eps_join(local),
+                        "concurrent iter " + std::to_string(i));
+      }
+    });
+  }
+  for (std::thread& t : workers) t.join();
+
+  // Each service still reports its own kernel.
+  const kernels::KernelRegistry& reg = kernels::KernelRegistry::global();
+  EXPECT_EQ(scalar_svc->stats().kernel, reg.resolve("scalar").name);
+  EXPECT_EQ(best_svc->stats().kernel, reg.resolve("auto").name);
+  if (reg.env_pin() == nullptr) {
+    EXPECT_EQ(scalar_svc->stats().kernel, "scalar");
+    EXPECT_EQ(best_svc->stats().kernel, reg.best().name);
   }
 }
 

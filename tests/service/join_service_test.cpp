@@ -397,11 +397,18 @@ TEST(JoinService, PhaseLatenciesPopulateWithNonZeroQuantiles) {
   // Phases this service never exercised are omitted, not zero-filled.
   EXPECT_EQ(find("stream_deliver"), nullptr);
 
-  // The JSON export carries the same phases.
+  // The JSON export carries the same phases, and the engine's one kernel
+  // once, at the top level.
   const std::string json = svc.stats_json();
   EXPECT_NE(json.find("\"eps_drain\""), std::string::npos);
   EXPECT_NE(json.find("\"p95_ns\""), std::string::npos);
   EXPECT_NE(json.find("\"domain_loads\""), std::string::npos);
+  EXPECT_EQ(stats.kernel, svc.engine().kernel().name);
+  const std::string kernel_key = "\"kernel\":\"" + stats.kernel + "\"";
+  const std::size_t at = json.find(kernel_key);
+  ASSERT_NE(at, std::string::npos) << json;
+  EXPECT_LT(at, json.find("\"domain_loads\"")) << json;
+  EXPECT_EQ(json.find("\"kernel\"", at + 1), std::string::npos) << json;
 }
 
 TEST(JoinService, RejectsBadRequests) {
