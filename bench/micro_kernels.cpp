@@ -1,14 +1,23 @@
 // Micro-benchmarks (google-benchmark) of the host-side primitives: FP16
-// conversion, RZ accumulation, the emulated MMA, staging + ldmatrix, and
-// the functional self-join fast path.  These measure the *simulator's* CPU
-// cost, not modeled GPU time — useful when sizing functional experiments.
+// conversion, RZ accumulation, the emulated MMA, staging + ldmatrix, the
+// functional self-join fast path, and the two steps of a calibration block
+// build (its FP64 lanes and its run sort, each variant against the other).
+// These measure the *simulator's* CPU cost, not modeled GPU time — useful
+// when sizing functional experiments.
+//
+//   micro_kernels --benchmark_filter='Dist2BlockF64|SortRuns'
 
 #include <benchmark/benchmark.h>
+
+#include <algorithm>
+#include <numeric>
+#include <vector>
 
 #include "common/fp16.hpp"
 #include "common/rounding.hpp"
 #include "core/block_tile.hpp"
 #include "core/fasted.hpp"
+#include "data/calibrate.hpp"
 #include "data/generators.hpp"
 #include "sim/tensor_core.hpp"
 
@@ -90,5 +99,80 @@ static void BM_PerfModel(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PerfModel);
+
+// One calibration block on one thread: 64 sample rows against `rows`
+// sift_like rows (d = 128), as ShardedCorpus::block_of builds it.
+constexpr std::size_t kBlockSamples = 64;
+
+struct CalibrationBlock {
+  MatrixF32 rows;
+  std::vector<std::uint32_t> samples;
+  std::vector<double> runs;  // unsorted, kBlockSamples runs of rows - 1
+};
+
+static CalibrationBlock calibration_block(std::size_t rows) {
+  CalibrationBlock b{data::sift_like(rows, 5), {}, {}};
+  for (std::size_t a = 0; a < kBlockSamples; ++a) {
+    b.samples.push_back(static_cast<std::uint32_t>(a * rows / kBlockSamples));
+  }
+  b.runs.resize(kBlockSamples * (rows - 1));
+  data::dist2_block_f64(b.rows, b.samples, b.rows, /*exclude_self=*/true,
+                        b.runs);
+  return b;
+}
+
+// Arg 0: 0 = portable lanes, 1 = AVX-512F lanes (skipped where absent).
+static void BM_Dist2BlockF64(benchmark::State& state) {
+  const data::Dist2BlockF64 lanes = state.range(0) == 0
+                                        ? &data::dist2_block_f64_portable
+                                        : data::dist2_block_f64_avx512();
+  if (lanes == nullptr) {
+    state.SkipWithError("no AVX-512F on this CPU");
+    return;
+  }
+  CalibrationBlock b =
+      calibration_block(static_cast<std::size_t>(state.range(1)));
+  for (auto _ : state) {
+    lanes(b.rows, b.samples, b.rows, /*exclude_self=*/true, b.runs);
+    benchmark::DoNotOptimize(b.runs.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(b.runs.size()));
+}
+BENCHMARK(BM_Dist2BlockF64)
+    ->ArgNames({"avx512", "rows"})
+    ->ArgsProduct({{0, 1}, {1024, 2048, 10000}})
+    ->Unit(benchmark::kMillisecond);
+
+// Arg 0: 0 = std::sort, 1 = data::sort_run; both sort every run of the
+// same block, restored from the unsorted copy (untimed) per iteration.
+static void BM_SortRuns(benchmark::State& state) {
+  const CalibrationBlock b =
+      calibration_block(static_cast<std::size_t>(state.range(1)));
+  const std::size_t per_run = b.rows.rows() - 1;
+  std::vector<double> runs(b.runs.size());
+  std::vector<double> scratch(per_run);
+  for (auto _ : state) {
+    state.PauseTiming();
+    runs = b.runs;
+    state.ResumeTiming();
+    for (auto run = runs.begin(); run != runs.end(); run += per_run) {
+      if (state.range(0) == 0) {
+        std::sort(run, run + per_run);
+      } else {
+        data::sort_run({&*run, per_run}, scratch);
+      }
+    }
+    benchmark::DoNotOptimize(runs.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(runs.size()));
+}
+BENCHMARK(BM_SortRuns)
+    ->ArgNames({"radix", "rows"})
+    ->ArgsProduct({{0, 1}, {1024, 2048, 10000}})
+    ->Unit(benchmark::kMillisecond);
 
 BENCHMARK_MAIN();

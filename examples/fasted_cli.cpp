@@ -15,9 +15,9 @@
 // are bit-identical to the 1-shard session).  --ingest-fraction F starts
 // the session with the first F*n rows and appends the remainder between
 // batches — the append-driven serve mode — with a per-shard skew table at
-// the end:
+// the end (one command, wrapped):
 //
-//   fasted_cli --n 10000 --queries 256 --serve-batches 8 --shards 4 \
+//   fasted_cli --n 10000 --queries 256 --serve-batches 8 --shards 4
 //              --ingest-fraction 0.5
 
 #include <algorithm>

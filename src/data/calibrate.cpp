@@ -1,6 +1,7 @@
 #include "data/calibrate.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <string>
@@ -26,13 +27,24 @@ void dist2_block_f64(const MatrixF32& from,
                      const MatrixF32& to, bool exclude_self,
                      std::span<double> out) {
   if (samples.empty()) return;
+  FASTED_CHECK_MSG(from.dims() == to.dims(), "calibration block dims mismatch");
+  FASTED_CHECK_MSG(
+      out.size() == samples.size() * (to.rows() - (exclude_self ? 1 : 0)),
+      "calibration block output size mismatch");
+  static const Dist2BlockF64 lanes = [] {
+    const Dist2BlockF64 avx512 = dist2_block_f64_avx512();
+    return avx512 != nullptr ? avx512 : &dist2_block_f64_portable;
+  }();
+  lanes(from, samples, to, exclude_self, out);
+}
+
+void dist2_block_f64_portable(const MatrixF32& from,
+                              std::span<const std::uint32_t> samples,
+                              const MatrixF32& to, bool exclude_self,
+                              std::span<double> out) {
   const std::size_t dims = to.dims();
   const std::size_t nt = to.rows();
-  FASTED_CHECK_MSG(from.dims() == dims, "calibration block dims mismatch");
   const std::size_t per_run = nt - (exclude_self ? 1 : 0);
-  FASTED_CHECK_MSG(out.size() == samples.size() * per_run,
-                   "calibration block output size mismatch");
-
   std::vector<double> lanes(dims * kBlockLanes);  // lanes[k][l]
   for (std::size_t a0 = 0; a0 < samples.size(); a0 += kBlockLanes) {
     // A short last group repeats its last sample row in the spare lanes,
@@ -67,6 +79,48 @@ void dist2_block_f64(const MatrixF32& from,
       }
     }
   }
+}
+
+void sort_run(std::span<double> run, std::span<double> scratch) {
+  const std::size_t n = run.size();
+  if (n < 2) return;
+  FASTED_CHECK_MSG(scratch.size() >= n, "sort_run scratch is too small");
+  FASTED_CHECK_MSG(n <= std::numeric_limits<std::uint32_t>::max(),
+                   "sort_run counts are 32-bit");
+  constexpr std::size_t kDigits = sizeof(std::uint64_t);
+  const auto key = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  // Every digit's histogram in one read of the run.
+  std::uint32_t count[kDigits][256] = {};
+  for (const double v : run) {
+    const std::uint64_t k = key(v);
+    for (std::size_t d = 0; d < kDigits; ++d) {
+      ++count[d][(k >> (8 * d)) & 0xff];
+    }
+  }
+  FASTED_CHECK_MSG(std::all_of(count[kDigits - 1] + 0x80,
+                               count[kDigits - 1] + 0x100,
+                               [](std::uint32_t c) { return c == 0; }),
+                   "sort_run values must have the sign bit clear");
+
+  double* src = run.data();
+  double* dst = scratch.data();
+  for (std::size_t d = 0; d < kDigits; ++d) {
+    std::uint32_t* offset = count[d];
+    const unsigned shift = static_cast<unsigned>(8 * d);
+    // A digit every key shares leaves the order as it is.
+    if (offset[(key(src[0]) >> shift) & 0xff] == n) continue;
+    std::uint32_t sum = 0;
+    for (std::size_t b = 0; b < 256; ++b) {
+      const std::uint32_t c = offset[b];
+      offset[b] = sum;
+      sum += c;
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      dst[offset[(key(src[i]) >> shift) & 0xff]++] = src[i];
+    }
+    std::swap(src, dst);
+  }
+  if (src != run.data()) std::copy_n(src, n, run.data());
 }
 
 CalibrationResult calibrate_epsilon(const MatrixF32& data,

@@ -47,13 +47,40 @@ inline constexpr std::size_t kBlockLanes = 8;
 //
 // Every value is bit-identical to dist2_f64 on the same pair.  The routine
 // packs kBlockLanes sample rows column-wise as doubles and streams the
-// target rows past them, so each target row runs kBlockLanes independent
-// chains side by side; each lane is one pair's own subtract, multiply and
-// add chain in ascending k.
+// target rows past them; each lane is one pair's own subtract, multiply and
+// add chain in ascending k, every step rounded on its own (never fused).
+// Where the CPU has AVX-512F the lanes are one ZMM register with several
+// target rows in flight (dist2_block_f64_avx512), else portable code
+// (dist2_block_f64_portable); the choice is made once per process.
 void dist2_block_f64(const MatrixF32& from,
                      std::span<const std::uint32_t> samples,
                      const MatrixF32& to, bool exclude_self,
                      std::span<double> out);
+
+// The lane variants behind dist2_block_f64, for the tests and benches that
+// compare them.  They take arguments dist2_block_f64 has checked.
+using Dist2BlockF64 = void (*)(const MatrixF32& from,
+                               std::span<const std::uint32_t> samples,
+                               const MatrixF32& to, bool exclude_self,
+                               std::span<double> out);
+void dist2_block_f64_portable(const MatrixF32& from,
+                              std::span<const std::uint32_t> samples,
+                              const MatrixF32& to, bool exclude_self,
+                              std::span<double> out);
+// nullptr where the build or the CPU lacks AVX-512F
+// (data/dist2_block_avx512.cpp).
+Dist2BlockF64 dist2_block_f64_avx512();
+
+// Sorts one run of a calibration block ascending, bit-identical to
+// std::sort, by an LSD radix sort on the values' IEEE-754 bit patterns:
+// byte digits, least significant first, skipping any digit every value
+// shares.  With the sign bit clear, unsigned bit order is value order, and
+// every calibration distance has it clear: a sum of squares that starts
+// from +0 over finite rows is +0.0 or positive, never -0.0.  A value with
+// the sign bit set throws CheckError before the run is touched.  The passes
+// ping-pong between `run` and `scratch`, which holds at least run.size()
+// values.
+void sort_run(std::span<double> run, std::span<double> scratch);
 
 // Exact selectivity at eps (O(n^2 d); use on small datasets / tests).
 double exact_selectivity(const MatrixF32& data, float eps);

@@ -233,9 +233,16 @@ std::shared_ptr<const std::vector<double>> ShardedCorpus::block_of(
   }
   // FP64 distances from s's sample rows to every row of t, self-pairs
   // excluded when s and t are the same shard build, each sample row's run
-  // sorted ascending for calibrate_over's merge walk.  The scan streams
-  // every row of t, so on a multi-domain pool the guard routes it to t's
-  // owning domain (a one-domain pool runs it flat, caller included).
+  // sorted ascending for calibrate_over's merge walk.  The radix sort
+  // (data::sort_run) orders runs exactly as std::sort would: preparation
+  // admits only finite rows, so every distance is +0.0 or positive.  The
+  // scan streams every row of t, so on a multi-domain pool the guard
+  // routes it to t's owning domain (a one-domain pool runs it flat, caller
+  // included).  Each build is timed into lifecycle.calibrate_block.
+  static obs::ConcurrentHistogram& hist =
+      lifecycle_histogram("calibrate_block");
+  obs::PhaseTimer timer(hist);
+  obs::TraceSpan span("calibrate_block", "lifecycle");
   const bool self = s.generation == t.generation;
   const std::size_t per_run = t.rows() - (self ? 1 : 0);
   auto block =
@@ -253,8 +260,9 @@ std::shared_ptr<const std::vector<double>> ShardedCorpus::block_of(
           std::span<double>(*block).subspan(lo * per_run, (hi - lo) * per_run);
       data::dist2_block_f64(s.points, samples.subspan(lo, hi - lo), t.points,
                             self, runs);
-      for (auto run = runs.begin(); run != runs.end(); run += per_run) {
-        std::sort(run, run + per_run);
+      std::vector<double> scratch(per_run);
+      for (std::size_t a = 0; a < hi - lo; ++a) {
+        data::sort_run(runs.subspan(a * per_run, per_run), scratch);
       }
     });
   }

@@ -41,13 +41,16 @@
 // per-shard-pair distance blocks: shard s keeps a deterministic sample of
 // its rows, and block (s, t) holds the FP64 distances from s's sample to
 // every row of t, one run per sample row, sorted once when the block is
-// built.  eps_for_selectivity takes a weighted quantile over all blocks
-// (weights undo the per-shard sampling rates) by a heap merge of the runs
-// that stops at the crossing, so a miss costs the blocks it builds plus a
-// walk to the quantile — no pooled copy, no sort.  An append replaces only
-// the open shard, so exactly the blocks involving that shard (and the
-// cached target -> eps map) are invalidated; blocks between sealed shards
-// are reused forever.
+// built.  The distances come from FP64 lanes (data::dist2_block_f64,
+// AVX-512F where the CPU has it) and each run from a radix sort
+// (data::sort_run), both bit-identical to their scalar references.
+// eps_for_selectivity takes a weighted quantile over all blocks (weights
+// undo the per-shard sampling rates) by a heap merge of the runs that
+// stops at the crossing, so a miss costs the blocks it builds plus a walk
+// to the quantile — no pooled copy, no sort.  An append replaces only the
+// open shard, so exactly the blocks involving that shard (and the cached
+// target -> eps map) are invalidated; blocks between sealed shards are
+// reused forever.
 
 // Lifecycle beyond growth (the PR 5 additions):
 //

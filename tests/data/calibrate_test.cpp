@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <limits>
+#include <utility>
 #include <vector>
 
 #include "common/check.hpp"
@@ -27,39 +31,177 @@ MatrixF32 spread_rows(std::size_t n, std::size_t d, std::uint64_t seed) {
   return m;
 }
 
-// dist2_block_f64 equals dist2_f64 bit for bit, with row counts that are
-// not a multiple of the lane width, a short last lane group, and the
-// skipped self row at the first, middle and last position.
-TEST(Dist2Block, BitIdenticalToScalarReference) {
-  for (const std::size_t d : {1, 3, 8, 128, 960}) {
-    const MatrixF32 rows = spread_rows(13, d, 100 + d);
-    // One full lane group plus 3; rows 0, 6 and 12 skip themselves first,
-    // in the middle and last.
-    const std::vector<std::uint32_t> self = {0, 1, 2, 4, 5, 6, 7, 9, 10, 11, 12};
-    std::vector<double> out(self.size() * (rows.rows() - 1));
-    dist2_block_f64(rows, self, rows, /*exclude_self=*/true, out);
-    for (std::size_t a = 0; a < self.size(); ++a) {
-      std::size_t w = a * (rows.rows() - 1);
-      for (std::size_t j = 0; j < rows.rows(); ++j) {
-        if (j == self[a]) continue;
-        EXPECT_EQ(out[w++], dist2_f64(rows.row(self[a]), rows.row(j), d))
-            << "d " << d << ", sample row " << self[a] << ", row " << j;
-      }
+// Coordinates that make an FP64 difference inexact: +-65504 (the FP16
+// limit) beside 1e-9 and 2^-24, among spread values.  A fused multiply-add
+// in the lanes rounds such a square into its sum once where dist2_f64
+// rounds twice.
+MatrixF32 hostile_rows(std::size_t n, std::size_t d, std::uint64_t seed) {
+  const float picks[] = {65504.0f,  -65504.0f, 1e-9f,
+                         -1e-9f,    0x1p-24f,  -0x1p-24f};
+  MatrixF32 m = spread_rows(n, d, seed);
+  Rng rng(seed ^ 0xf00d);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t k = 0; k < d; ++k) {
+      const std::uint64_t p = rng.next_below(8);
+      if (p < 6) m.at(i, k) = picks[p];
     }
+  }
+  return m;
+}
 
-    // Targets from another matrix: nothing skipped.
-    const MatrixF32 targets = spread_rows(21, d, 200 + d);
-    const std::vector<std::uint32_t> picked = {12, 0, 6};
-    std::vector<double> cross(picked.size() * targets.rows());
-    dist2_block_f64(rows, picked, targets, /*exclude_self=*/false, cross);
-    for (std::size_t a = 0; a < picked.size(); ++a) {
-      for (std::size_t j = 0; j < targets.rows(); ++j) {
-        EXPECT_EQ(cross[a * targets.rows() + j],
-                  dist2_f64(rows.row(picked[a]), targets.row(j), d))
-            << "d " << d << ", sample row " << picked[a] << ", target " << j;
+// Every lane variant of dist2_block_f64 (and the variant it resolves)
+// equals dist2_f64 bit for bit: sample counts that are not a multiple of
+// the 8 lanes, so a short last lane group; target counts that are not a
+// multiple of the AVX-512 lanes' 4 rows in flight; the skipped self row at
+// the first, middle and last position; and rows whose differences are
+// inexact in FP64.
+TEST(Dist2Block, BitIdenticalToScalarReference) {
+  std::vector<std::pair<const char*, Dist2BlockF64>> variants = {
+      {"portable", &dist2_block_f64_portable}, {"resolved", &dist2_block_f64}};
+  if (dist2_block_f64_avx512() != nullptr) {
+    variants.emplace_back("avx512", dist2_block_f64_avx512());
+  }
+  for (const auto& [name, lanes] : variants) {
+    for (const std::size_t d : {1, 3, 8, 128, 960}) {
+      for (const bool hostile : {false, true}) {
+        const auto make = hostile ? &hostile_rows : &spread_rows;
+        const MatrixF32 rows = make(13, d, 100 + d);
+        // One full lane group plus 3; rows 0, 6 and 12 skip themselves
+        // first, in the middle and last.
+        const std::vector<std::uint32_t> self = {0, 1, 2,  4,  5, 6,
+                                                 7, 9, 10, 11, 12};
+        std::vector<double> out(self.size() * (rows.rows() - 1));
+        lanes(rows, self, rows, /*exclude_self=*/true, out);
+        for (std::size_t a = 0; a < self.size(); ++a) {
+          std::size_t w = a * (rows.rows() - 1);
+          for (std::size_t j = 0; j < rows.rows(); ++j) {
+            if (j == self[a]) continue;
+            EXPECT_EQ(out[w++], dist2_f64(rows.row(self[a]), rows.row(j), d))
+                << name << ", d " << d << ", sample row " << self[a]
+                << ", row " << j;
+          }
+        }
+
+        // Targets from another matrix, 1, 2 and 3 rows past a multiple of
+        // the rows in flight: nothing skipped.
+        for (const std::size_t nt : {21, 22, 23}) {
+          const MatrixF32 targets = make(nt, d, 200 + d + nt);
+          const std::vector<std::uint32_t> picked = {12, 0, 6};
+          std::vector<double> cross(picked.size() * nt);
+          lanes(rows, picked, targets, /*exclude_self=*/false, cross);
+          for (std::size_t a = 0; a < picked.size(); ++a) {
+            for (std::size_t j = 0; j < nt; ++j) {
+              EXPECT_EQ(cross[a * nt + j],
+                        dist2_f64(rows.row(picked[a]), targets.row(j), d))
+                  << name << ", d " << d << ", sample row " << picked[a]
+                  << ", target " << j << " of " << nt;
+            }
+          }
+        }
       }
     }
   }
+}
+
+// std::sort's result, as the bit patterns it leaves.
+std::vector<std::uint64_t> std_sorted_bits(std::vector<double> run) {
+  std::sort(run.begin(), run.end());
+  std::vector<std::uint64_t> bits(run.size());
+  std::transform(run.begin(), run.end(), bits.begin(),
+                 [](double v) { return std::bit_cast<std::uint64_t>(v); });
+  return bits;
+}
+
+std::vector<std::uint64_t> sort_run_bits(std::vector<double> run) {
+  std::vector<double> scratch(run.size());
+  sort_run(run, scratch);
+  std::vector<std::uint64_t> bits(run.size());
+  std::transform(run.begin(), run.end(), bits.begin(),
+                 [](double v) { return std::bit_cast<std::uint64_t>(v); });
+  return bits;
+}
+
+// A seeded run of `n` non-negative doubles of one shape.
+std::vector<double> shaped_run(std::size_t n, int shape, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<double> run(n);
+  for (double& v : run) {
+    switch (shape) {
+      case 0:  // many binades, with +0.0, subnormals and DBL_MAX
+        switch (rng.next_below(8)) {
+          case 0: v = 0.0; break;
+          case 1:
+            v = std::numeric_limits<double>::denorm_min() *
+                static_cast<double>(1 + rng.next_below(1u << 20));
+            break;
+          case 2: v = std::numeric_limits<double>::max(); break;
+          default:
+            v = std::ldexp(rng.uniform(1.0, 2.0),
+                           static_cast<int>(rng.next_below(2000)) - 1000);
+        }
+        break;
+      case 1:  // long tie groups: integer squared distances
+        v = static_cast<double>(rng.next_below(40) * rng.next_below(40));
+        break;
+      case 2:  // the five high bytes shared: 3 passes, an odd count
+        v = std::bit_cast<double>(0x4010000000000000ull |
+                                  rng.next_below(1u << 24));
+        break;
+      default:  // uniform, as well-spread distances
+        v = rng.uniform(0.0, 1e6);
+    }
+  }
+  return run;
+}
+
+// sort_run leaves every run bit-identical to std::sort: lengths around
+// one digit's 256 buckets, and runs mixing +0.0, subnormals, DBL_MAX and
+// values across many binades, long tie groups, and keys that share every
+// high byte (whose digits the sort skips).
+TEST(SortRun, BitIdenticalToStdSort) {
+  for (const std::size_t n : {0, 1, 2, 255, 256, 257, 2047, 10000}) {
+    for (int shape = 0; shape < 4; ++shape) {
+      const std::vector<double> run = shaped_run(n, shape, 31 * n + shape);
+      EXPECT_EQ(sort_run_bits(run), std_sorted_bits(run))
+          << "length " << n << ", shape " << shape;
+    }
+  }
+  // A run that is already sorted, and one in descending order.
+  std::vector<double> run = shaped_run(2047, 0, 5);
+  std::sort(run.begin(), run.end());
+  EXPECT_EQ(sort_run_bits(run), std_sorted_bits(run));
+  std::reverse(run.begin(), run.end());
+  EXPECT_EQ(sort_run_bits(run), std_sorted_bits(run));
+}
+
+// The runs of one real calibration block, with the tie groups of
+// integer-valued rows.
+TEST(SortRun, SortsCalibrationBlockRuns) {
+  const MatrixF32 rows = sift_like(700, 41);
+  const std::vector<std::uint32_t> samples = {3, 99, 250, 251, 600, 699};
+  const std::size_t per_run = rows.rows() - 1;
+  std::vector<double> block(samples.size() * per_run);
+  dist2_block_f64(rows, samples, rows, /*exclude_self=*/true, block);
+  for (std::size_t a = 0; a < samples.size(); ++a) {
+    const std::vector<double> run(block.begin() + a * per_run,
+                                  block.begin() + (a + 1) * per_run);
+    EXPECT_EQ(sort_run_bits(run), std_sorted_bits(run)) << "run " << a;
+  }
+}
+
+// A value with the sign bit set would sort after every positive one, so it
+// is refused before the run is touched.
+TEST(SortRun, RejectsSignBitAndShortScratch) {
+  for (const double bad : {-1.0, -0.0}) {
+    std::vector<double> run = {3.0, 1.0, bad, 2.0};
+    const std::vector<double> before = run;
+    std::vector<double> scratch(run.size());
+    EXPECT_THROW(sort_run(run, scratch), CheckError);
+    EXPECT_EQ(run, before);
+  }
+  std::vector<double> run = {3.0, 1.0, 2.0};
+  std::vector<double> scratch(2);
+  EXPECT_THROW(sort_run(run, scratch), CheckError);
 }
 
 TEST(Calibrate, HitsTargetSelectivityOnUniform) {

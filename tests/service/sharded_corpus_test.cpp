@@ -164,6 +164,38 @@ TEST(ShardedCorpus, CalibrationBlocksAreReusedAcrossAppends) {
   EXPECT_LT(achieved, 32.0 * 2.0);
 }
 
+// Every block build lands in lifecycle.calibrate_block, beside the miss
+// that needed it in lifecycle.calibrate: across one miss after an append,
+// the block histogram grows by exactly the blocks built, and a miss that
+// builds none (after an erase) leaves it as it was.
+TEST(ShardedCorpus, BlockBuildsAreTimedOnePerBlock) {
+  const auto data = data::uniform(500, 8, 75);
+  ShardedCorpusOptions opts;
+  opts.shard_capacity = 128;
+  ShardedCorpus corpus{row_slice(data, 0, 400), opts};  // 128 x 3, open 16
+  const obs::ConcurrentHistogram& builds =
+      obs::Registry::global().histogram("lifecycle.calibrate_block");
+  const obs::ConcurrentHistogram& misses =
+      obs::Registry::global().histogram("lifecycle.calibrate");
+  corpus.eps_for_selectivity(16.0);
+
+  corpus.append(row_slice(data, 400, 500));
+  const std::uint64_t built = corpus.stats().calibration_blocks_built;
+  const std::uint64_t timed = builds.snapshot().count();
+  const std::uint64_t missed = misses.snapshot().count();
+  corpus.eps_for_selectivity(16.0);
+  const std::uint64_t delta = corpus.stats().calibration_blocks_built - built;
+  EXPECT_EQ(delta, 2 * corpus.shard_count() - 1);
+  EXPECT_EQ(builds.snapshot().count(), timed + delta);
+  EXPECT_EQ(misses.snapshot().count(), missed + 1);
+
+  const std::vector<std::uint32_t> dead = {1, 200, 450};
+  corpus.erase(dead);
+  corpus.eps_for_selectivity(16.0);
+  EXPECT_EQ(builds.snapshot().count(), timed + delta);
+  EXPECT_EQ(misses.snapshot().count(), missed + 2);
+}
+
 TEST(ShardedCorpus, CalibrationIsDeleteAwareWithoutBlockRebuilds) {
   const auto data = data::uniform(600, 8, 77);
   ShardedCorpusOptions opts;
